@@ -104,12 +104,6 @@ class CmaeSurface:
     cmae: np.ndarray  # (M,) float64
     pair_count: int
 
-    def as_dict(self) -> dict:
-        return {
-            Displacement(int(dx), int(dy)): (float(c), self.pair_count)
-            for (dx, dy), c in zip(self.displacements, self.cmae)
-        }
-
 
 @dataclass(frozen=True)
 class CmvEstimate:

@@ -7,10 +7,9 @@ used as irradiance sensors.
 """
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -201,16 +200,6 @@ def active_sensor_records(
 def active_sensors(ds: TrajectoryDataset, mask: Optional[ShadowMask], t: int) -> list:
     """Positions (x, y) of active sensors at instant t."""
     return [(x, y) for _, x, y in active_sensor_records(ds, mask, t)]
-
-
-def median_active_count(
-    ds: TrajectoryDataset, mask: Optional[ShadowMask] = None, times: Optional[Sequence[int]] = None
-) -> int:
-    """Median number of active sensors over the sampling instants."""
-    if times is None:
-        times = range(ds.duration_s + 1)
-    counts = [len(active_sensor_records(ds, mask, t)) for t in times]
-    return int(statistics.median_low(counts))
 
 
 def load_shadow_mask(pgm_path, sidecar: Optional[str] = None) -> ShadowMask:

@@ -1,9 +1,9 @@
 """Scattered sensor samples onto a fixed virtual grid by inverse distance.
 
 Each grid point takes the inverse-distance-weighted mean of its k nearest
-sensors (w = 1/d); a sensor sitting exactly on a grid point wins outright.
-Snapshots with fewer than k sensors are marked invalid instead of being
-interpolated from a thinner neighborhood.
+sensors (w = 1/d, summed nearest first); a sensor sitting exactly on a grid
+point wins outright.  Snapshots with fewer than k sensors are marked
+invalid instead of being interpolated from a thinner neighborhood.
 """
 from __future__ import annotations
 
@@ -16,63 +16,6 @@ import numpy as np
 from .fleet import SensorSnapshot
 from .geometry import Rect
 from .transit import MeasurementSeries
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-
-
-if njit is not None:
-
-    @njit(cache=True)
-    def _idw_values(gx, gy, sx, sy, sz, k):
-        """Exact k-nearest IDW per grid point via insertion selection.
-
-        Strict-less comparisons keep the earliest candidate on distance
-        ties, which matches the canonical (x, y) sensor ordering used by
-        the caller.  Slot 0 after the scan is the overall nearest, so an
-        exact coincidence (d2 == 0) short-circuits to that sensor's value.
-        """
-        n_grid = gx.shape[0]
-        n_sens = sx.shape[0]
-        values = np.empty(n_grid)
-        best_d2 = np.empty(k)
-        best_j = np.empty(k, dtype=np.int64)
-        for g in range(n_grid):
-            count = 0
-            for j in range(n_sens):
-                ddx = gx[g] - sx[j]
-                ddy = gy[g] - sy[j]
-                d2 = ddx * ddx + ddy * ddy
-                if count < k:
-                    pos = count
-                    count += 1
-                elif d2 < best_d2[k - 1]:
-                    pos = k - 1
-                else:
-                    continue
-                while pos > 0 and best_d2[pos - 1] > d2:
-                    best_d2[pos] = best_d2[pos - 1]
-                    best_j[pos] = best_j[pos - 1]
-                    pos -= 1
-                best_d2[pos] = d2
-                best_j[pos] = j
-            if best_d2[0] == 0.0:
-                values[g] = sz[best_j[0]]
-            else:
-                wsum = 0.0
-                vsum = 0.0
-                for m in range(k):
-                    w = 1.0 / np.sqrt(best_d2[m])
-                    wsum += w
-                    vsum += w * sz[best_j[m]]
-                values[g] = vsum / wsum
-        return values
-
-else:  # pragma: no cover
-    _idw_values = None
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -97,11 +40,15 @@ class GridSpec:
     def ny(self) -> int:
         return int(math.floor(self.bounds.height / self.dmin + 1e-9)) + 1
 
-    def points(self) -> tuple:
-        """Flattened grid coordinates (gx, gy), row-major over (iy, ix)."""
+    def axes(self) -> tuple:
+        """Grid coordinates along each axis, (xs of length nx, ys of length ny)."""
         xs = self.bounds.x0 + np.arange(self.nx) * self.dmin
         ys = self.bounds.y0 + np.arange(self.ny) * self.dmin
-        gx, gy = np.meshgrid(xs, ys)
+        return xs, ys
+
+    def points(self) -> tuple:
+        """Flattened grid coordinates (gx, gy), row-major over (iy, ix)."""
+        gx, gy = np.meshgrid(*self.axes())
         return gx.ravel(), gy.ravel()
 
 
@@ -132,40 +79,30 @@ def idw_interpolate(snapshot: SensorSnapshot, spec: GridSpec, k_neighbors: int =
     order = np.lexsort((arr[:, 1], arr[:, 0]))  # canonical: by x, then y
     sx, sy, sz = arr[order, 0], arr[order, 1], arr[order, 2]
 
-    gx, gy = spec.points()
-    if _idw_values is not None:
-        values = _idw_values(gx, gy, sx, sy, sz, k_neighbors)
-        return GridSnapshot(t=snapshot.t, values=values.reshape(ny, nx), valid=True)
+    # The grid is a lattice, so squared distances separate into a row term
+    # and a column term: one full-size add builds the (ny, nx, n) array.
+    xs, ys = spec.axes()
+    d2 = ((ys[:, None] - sy) ** 2)[:, None, :] + ((xs[:, None] - sx) ** 2)[None, :, :]
+    d2 = d2.reshape(ny * nx, n_sensors)
 
-    d2 = (gx[:, None] - sx[None, :]) ** 2 + (gy[:, None] - sy[None, :]) ** 2
-
-    k = k_neighbors
-    if n_sensors == k:
-        sel = np.broadcast_to(np.arange(k), (d2.shape[0], k))
-    else:
-        # Partition at k so slot k holds the (k+1)-th smallest distance; a
-        # tie straddles the boundary exactly when it equals the k-th.  Those
-        # rows are redone with a stable sort so the canonical order decides.
-        part = np.argpartition(d2, k, axis=1)[:, : k + 1]
-        dpart = np.take_along_axis(d2, part, axis=1)
-        sel = part[:, :k]
-        tie_rows = np.nonzero(dpart[:, :k].max(axis=1) == dpart[:, k])[0]
-        if tie_rows.size:
-            sel = sel.copy()
-            for r in tie_rows:
-                sel[r] = np.argsort(d2[r], kind="stable")[:k]
-
-    dsel = np.sqrt(np.take_along_axis(d2, sel, axis=1))
-    values = np.empty(d2.shape[0])
-    coincident = dsel.min(axis=1) <= 0.0
-    regular = ~coincident
-    if np.any(regular):
-        w = 1.0 / dsel[regular]
-        z = sz[sel[regular]]
-        values[regular] = (w * z).sum(axis=1) / w.sum(axis=1)
-    for r in np.nonzero(coincident)[0]:
-        values[r] = sz[np.argmax(d2[r] == 0.0)]
-
+    # k argmin passes: argmin keeps the first index on ties, so slots fill
+    # in ascending (d2, canonical index) order and a sensor on a grid point
+    # lands in slot 0.  Each chosen entry is then masked with inf.
+    rows = np.arange(d2.shape[0])
+    wsum = np.zeros(d2.shape[0])
+    vsum = np.zeros(d2.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for slot in range(k_neighbors):
+            j = d2.argmin(axis=1)
+            dj = d2[rows, j]
+            if slot == 0:
+                nearest, coincident = j, dj == 0.0
+            w = 1.0 / np.sqrt(dj)
+            wsum += w
+            vsum += w * sz[j]
+            d2[rows, j] = np.inf
+        values = vsum / wsum
+    values[coincident] = sz[nearest[coincident]]
     return GridSnapshot(t=snapshot.t, values=values.reshape(ny, nx), valid=True)
 
 

@@ -12,7 +12,6 @@ from cloudmotion.fleet import (
     active_sensors,
     load_shadow_mask,
     load_trajectories,
-    median_active_count,
     subsample_by_penetration,
     write_shadow_mask,
 )
@@ -198,8 +197,3 @@ def test_mask_never_increases_count(seed):
     )
     for t in range(3):
         assert len(active_sensors(ds, m, t)) <= len(active_sensors(ds, None, t))
-
-
-def test_median_active_count():
-    ds = _make_ds(n_ids=6, n_t=5)
-    assert median_active_count(ds) == 6

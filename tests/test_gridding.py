@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cloudmotion.gridding as gridding
@@ -66,11 +66,18 @@ def test_idw_too_few_sensors_is_invalid():
 
 
 def test_idw_distance_tie_broken_by_canonical_order():
-    # both sensors at distance 1; the one with smaller x wins slot k
-    for sensors in ([(1.0, 0.0, 0.9), (0.0, 1.0, 0.3)],
-                    [(0.0, 1.0, 0.3), (1.0, 0.0, 0.9)]):
-        grid = idw_interpolate(_snap(sensors), _point_spec(), 1)
-        assert grid.values[0, 0] == 0.3
+    # k=1: both sensors at distance 1; the one with smaller x wins slot k.
+    # k=3: (0, 3) and (3, 0) tie at distance 3 for the third slot; (0, 3)
+    # comes first in (x, y) order, so its value enters the mean.
+    third = (1.0 * 0.2 + 0.5 * 0.4 + (1.0 / 3.0) * 0.3) / (1.0 + 0.5 + 1.0 / 3.0)
+    cases = [
+        ([(1.0, 0.0, 0.9), (0.0, 1.0, 0.3)], 1, 0.3),
+        ([(1.0, 0.0, 0.2), (0.0, 2.0, 0.4), (3.0, 0.0, 0.9), (0.0, 3.0, 0.3)], 3, third),
+    ]
+    for sensors, k, expected in cases:
+        for ordered in (sensors, sensors[::-1]):
+            grid = idw_interpolate(_snap(ordered), _point_spec(), k)
+            assert grid.values[0, 0] == expected
 
 
 def test_idw_permutation_invariance():
@@ -110,19 +117,56 @@ def test_idw_scale_consistency():
     assert fine.values.size > 3 * coarse.values.size
 
 
-def test_idw_numba_and_numpy_paths_agree(monkeypatch):
-    if gridding._idw_values is None:
-        pytest.skip("numba not installed; only one path to test")
-    rng = np.random.default_rng(17)
-    sensors = [(rng.uniform(0, 100), rng.uniform(0, 100), rng.uniform(0.09, 1.2))
-               for _ in range(40)]
-    # duplicate a sensor position to exercise the zero/tie handling
-    sensors.append(sensors[0])
-    spec = GridSpec(Rect(0.0, 0.0, 100.0, 100.0), 7.0)
-    fast = idw_interpolate(_snap(sensors), spec, 3)
-    monkeypatch.setattr(gridding, "_idw_values", None)
-    slow = idw_interpolate(_snap(sensors), spec, 3)
-    assert np.allclose(fast.values, slow.values, rtol=1e-12, atol=0)
+def _idw_reference(sensors, spec, k):
+    """Brute force: stable argsort per grid point, sequential weighted sums."""
+    arr = np.asarray(sensors, dtype=np.float64)
+    arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+    gx, gy = spec.points()
+    out = np.empty(gx.size)
+    for g in range(gx.size):
+        d2 = (gx[g] - arr[:, 0]) ** 2 + (gy[g] - arr[:, 1]) ** 2
+        sel = np.argsort(d2, kind="stable")[:k]
+        if d2[sel[0]] == 0.0:
+            out[g] = arr[sel[0], 2]
+            continue
+        wsum = vsum = 0.0
+        for j in sel:
+            w = 1.0 / np.sqrt(d2[j])
+            wsum += w
+            vsum += w * arr[j, 2]
+        out[g] = vsum / wsum
+    return out.reshape(spec.ny, spec.nx)
+
+
+@st.composite
+def _tie_heavy_case(draw):
+    """Integer-metre sensors near a small lattice: distance ties at the k-th
+    slot, duplicate positions and sensors on grid points are all common."""
+    k = draw(st.integers(1, 4))
+    spec = GridSpec(Rect(0.0, 0.0, 20.0, 10.0), draw(st.sampled_from([1.0, 2.0, 5.0])))
+    value = st.floats(0.09, 1.2)
+    xy = st.tuples(st.integers(-2, 22), st.integers(-2, 12))
+    sensors = [(float(x), float(y), z)
+               for (x, y), z in draw(st.lists(st.tuples(xy, value), min_size=k, max_size=k + 6))]
+    if draw(st.booleans()):  # same position, its own value
+        x, y, _ = draw(st.sampled_from(sensors))
+        sensors.append((x, y, draw(value)))
+    if draw(st.booleans()):  # exactly on a grid point
+        ix, iy = draw(st.integers(0, spec.nx - 1)), draw(st.integers(0, spec.ny - 1))
+        sensors.append((ix * spec.dmin, iy * spec.dmin, draw(value)))
+    return sensors, spec, k
+
+
+@given(_tie_heavy_case())
+# n_sensors == k, with a duplicate pair on a grid point
+@example(([(0.0, 0.0, 0.5), (0.0, 0.0, 0.8), (3.0, 4.0, 0.7)],
+          GridSpec(Rect(0.0, 0.0, 10.0, 10.0), 5.0), 3))
+@settings(max_examples=200, deadline=None)
+def test_idw_matches_stable_argsort_reference(case):
+    sensors, spec, k = case
+    grid = idw_interpolate(_snap(sensors), spec, k)
+    assert grid.valid
+    assert np.array_equal(grid.values, _idw_reference(sensors, spec, k))
 
 
 # ------------------------------------------------------------- grid_series
