@@ -25,7 +25,6 @@ from .fleet import (
     SensorSnapshot,
     ShadowMask,
     TrajectoryDataset,
-    active_sensors,
     load_shadow_mask,
     load_trajectories,
     subsample_by_penetration,
@@ -72,7 +71,6 @@ __all__ = [
     "TrajectoryDataset",
     "TransitConfig",
     "accumulate_cmae",
-    "active_sensors",
     "cloud_to_clearsky",
     "direction_error",
     "displacement_candidates",

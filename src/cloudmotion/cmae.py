@@ -18,57 +18,15 @@ import numpy as np
 
 from .gridding import GridSnapshot
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-
 V_CAP_MPS = 40.0
 MIN_OVERLAP_FRACTION = 0.1
 # search_cmv prunes a candidate only when its lower bound is above the
-# third-best CMAE by this relative slack.  Bound and CMAE are rounded
-# differently: float32 differences, and in the numba kernel float32 row
-# sums, off by under nx * 6e-8 relative (under 1e-4 up to 1000 cells per
-# row), so rounding cannot drop a true top-3 candidate or tie.
+# third-best CMAE by this relative slack.  The SAD rounds each |a - b| to
+# float32 (relative error under 6e-8) before summing in float64, while the
+# bound subtracts float64 sums of the same float32 values, so a computed
+# bound can exceed the computed CMAE it bounds by far less than 1e-3
+# relative: rounding cannot drop a true top-3 candidate or tie.
 _PRUNE_MARGIN = 1e-3
-
-
-if njit is not None:
-
-    @njit(cache=True, fastmath=True)
-    def _sad_per_displacement(a_stack, b_stack, dxs, dys):
-        """Sum of |a - shifted b| over pairs and overlap cells, per displacement.
-
-        Pairs stream in the outer loop so one (ny, nx) pair stays cache-hot
-        for the whole displacement sweep.
-        """
-        n_pairs, ny, nx = a_stack.shape
-        m = dxs.shape[0]
-        out = np.zeros(m, dtype=np.float64)
-        for p in range(n_pairs):
-            a = a_stack[p]
-            b = b_stack[p]
-            for i in range(m):
-                dx = dxs[i]
-                dy = dys[i]
-                ay0 = -dy if dy < 0 else 0
-                ay1 = (ny - dy) if dy > 0 else ny
-                ax0 = -dx if dx < 0 else 0
-                ax1 = (nx - dx) if dx > 0 else nx
-                total = 0.0
-                for iy in range(ay0, ay1):
-                    # 0-based equal-length views keep the reduction SIMD-able
-                    ra = a[iy, ax0:ax1]
-                    rb = b[iy + dy, ax0 + dx : ax1 + dx]
-                    row = np.float32(0.0)
-                    for ix in range(ra.shape[0]):
-                        row += abs(ra[ix] - rb[ix])
-                    total += row
-                out[i] += total
-        return out
-
-else:  # pragma: no cover
-    _sad_per_displacement = None
 
 
 class EmptyOverlapError(ValueError):
@@ -201,10 +159,6 @@ def _sad_sums(a_stack: np.ndarray, b_stack: np.ndarray, cands: np.ndarray) -> np
     Each candidate's sum depends only on its own (dx, dy), so a subset of
     candidates gets exactly the values it has in the full sweep.
     """
-    if _sad_per_displacement is not None:
-        return _sad_per_displacement(
-            a_stack, b_stack, cands[:, 0].astype(np.int64), cands[:, 1].astype(np.int64)
-        )
     _, ny, nx = a_stack.shape
     sums = np.empty(cands.shape[0])
     for i, (dx, dy) in enumerate(cands):

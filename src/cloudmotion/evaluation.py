@@ -65,6 +65,14 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.n_simulations < 1:
             raise ValueError("n_simulations must be >= 1")
+        if self.k_neighbors < 1:
+            raise ValueError("k_neighbors must be >= 1")
+        if self.sampling_period_s <= 0:
+            raise ValueError("sampling_period_s must be positive")
+        if any(ts <= 0 for ts in self.timestep_list):
+            raise ValueError("timesteps must be positive")
+        if any(d <= 0 for d in self.dmin_list):
+            raise ValueError("dmin values must be positive")
         shorter = min(self.bounds.width, self.bounds.height)
         limit = shorter / SPEED_MAX_MPS
         for ts in self.timestep_list:
@@ -162,6 +170,8 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
     Aggregation is an ordered reduction over simulation indices, so the
     result is independent of how many worker processes were used.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     ds_by_pr = {
         float(pr): subsample_by_penetration(cfg.dataset, pr, cfg.base_seed)
         for pr in cfg.pr_list

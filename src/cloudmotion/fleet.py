@@ -33,18 +33,24 @@ class MaskCoverageError(ValueError):
 class SensorSnapshot:
     """Scattered clear-sky-index samples at one instant.
 
-    sensors holds (x, y, kstar) triples; vehicle_ids is the parallel tuple of
-    vehicle identifiers, kept so per-vehicle time differencing is possible
-    downstream (the CSV interchange format carries positions only).
+    sensors is an (n, 3) float64 array of (x, y, kstar) rows; vehicle_ids is
+    the parallel (n,) array of vehicle identifiers, or empty when unknown,
+    kept so per-vehicle time differencing is possible downstream (the CSV
+    interchange format carries positions only).  Array-likes given for
+    either are converted on construction.
     """
 
     t: int
-    sensors: tuple
-    vehicle_ids: tuple = ()
+    sensors: np.ndarray
+    vehicle_ids: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        if self.vehicle_ids and len(self.vehicle_ids) != len(self.sensors):
+        sensors = np.asarray(self.sensors, dtype=np.float64).reshape(len(self.sensors), 3)
+        ids = np.asarray(self.vehicle_ids, dtype=str)
+        if ids.size and ids.shape != (len(sensors),):
             raise ValueError("vehicle_ids must parallel sensors")
+        object.__setattr__(self, "sensors", sensors)
+        object.__setattr__(self, "vehicle_ids", ids)
 
 
 @dataclass(frozen=True)
@@ -54,20 +60,31 @@ class TrajectoryDataset:
     records are (vehicle_id, t, x, y) with t in seconds from window start,
     sorted by (t, vehicle_id), at most one record per (vehicle_id, t).
     Immutable after construction; safe to share across parallel simulations.
+    The records are also held as one structured array, sorted by time.
     """
 
     records: tuple
     window: tuple
     bounds: Rect
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
     _by_t: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        by_t: dict[int, list] = {}
         length = self.window[1] - self.window[0]
-        for vid, t, x, y in self.records:
-            if not 0 <= t <= length:
-                raise ValueError(f"record t={t} outside window of length {length}")
-            by_t.setdefault(t, []).append((vid, x, y))
+        width = max((len(r[0]) for r in self.records), default=1)
+        table = np.array(
+            list(self.records),
+            dtype=[("vehicle_id", f"U{width}"), ("t", "i8"), ("x", "f8"), ("y", "f8")],
+        )
+        t = table["t"]
+        outside = (t < 0) | (t > length)
+        if outside.any():
+            raise ValueError(f"record t={t[outside][0]} outside window of length {length}")
+        table = table[np.argsort(t, kind="stable")]
+        times, starts = np.unique(table["t"], return_index=True)
+        ends = np.append(starts[1:], len(table))
+        by_t = {a: slice(b, c) for a, b, c in zip(times.tolist(), starts.tolist(), ends.tolist())}
+        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_by_t", by_t)
 
     @property
@@ -77,9 +94,9 @@ class TrajectoryDataset:
     def unique_ids(self) -> tuple:
         return tuple(sorted({r[0] for r in self.records}))
 
-    def records_at(self, t: int) -> list:
-        """(vehicle_id, x, y) of every vehicle with a record at t, id-sorted."""
-        return self._by_t.get(t, [])
+    def records_at(self, t: int) -> np.ndarray:
+        """Records at t, id-sorted: a structured array of vehicle_id, t, x, y."""
+        return self._table[self._by_t.get(t, slice(0))]
 
 
 @dataclass(frozen=True)
@@ -94,13 +111,22 @@ class ShadowMask:
     origin: tuple
     pixel_size_m: float
 
-    def is_shadowed(self, x: float, y: float) -> bool:
-        ix = int(np.floor((x - self.origin[0]) / self.pixel_size_m))
-        iy = int(np.floor((y - self.origin[1]) / self.pixel_size_m))
+    def is_shadowed(self, x, y) -> np.ndarray:
+        """Shadow flag of the pixel under each point.
+
+        x and y are scalars or arrays of one shape, and so is the result.
+        Any point off the raster raises MaskCoverageError.
+        """
+        x, y = (np.asarray(v, dtype=np.float64) for v in (x, y))
+        ix = np.floor((x - self.origin[0]) / self.pixel_size_m).astype(np.int64)
+        iy = np.floor((y - self.origin[1]) / self.pixel_size_m).astype(np.int64)
         ny, nx = self.mask.shape
-        if not (0 <= ix < nx and 0 <= iy < ny):
-            raise MaskCoverageError(f"position ({x:.1f}, {y:.1f}) outside mask raster")
-        return bool(self.mask[iy, ix])
+        off = (ix < 0) | (ix >= nx) | (iy < 0) | (iy >= ny)
+        if off.any():
+            raise MaskCoverageError(
+                f"position ({x[off][0]:.1f}, {y[off][0]:.1f}) outside mask raster"
+            )
+        return self.mask[iy, ix]
 
     def covers(self, bounds: Rect) -> bool:
         ny, nx = self.mask.shape
@@ -183,23 +209,19 @@ def subsample_by_penetration(ds: TrajectoryDataset, pr: float, seed: int) -> Tra
 
 def active_sensor_records(
     ds: TrajectoryDataset, mask: Optional[ShadowMask], t: int
-) -> list:
-    """(vehicle_id, x, y) of sensing-capable vehicles at instant t.
+) -> tuple:
+    """(vehicle_ids, positions) of sensing-capable vehicles at instant t.
 
-    Vehicles on shadowed mask pixels are excluded; with no mask every
-    vehicle with a record at t counts.
+    An (n,) id array and an (n, 2) array of x, y, id-sorted.  Vehicles on
+    shadowed mask pixels are excluded by one mask lookup for the instant;
+    with no mask every vehicle with a record at t counts.
     """
     if not 0 <= t <= ds.duration_s:
         raise ValueError(f"t={t} outside dataset window")
     recs = ds.records_at(t)
-    if mask is None:
-        return list(recs)
-    return [(vid, x, y) for vid, x, y in recs if not mask.is_shadowed(x, y)]
-
-
-def active_sensors(ds: TrajectoryDataset, mask: Optional[ShadowMask], t: int) -> list:
-    """Positions (x, y) of active sensors at instant t."""
-    return [(x, y) for _, x, y in active_sensor_records(ds, mask, t)]
+    if mask is not None:
+        recs = recs[~mask.is_shadowed(recs["x"], recs["y"])]
+    return recs["vehicle_id"], np.column_stack([recs["x"], recs["y"]])
 
 
 def load_shadow_mask(pgm_path, sidecar: Optional[str] = None) -> ShadowMask:

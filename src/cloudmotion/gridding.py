@@ -1,9 +1,10 @@
 """Scattered sensor samples onto a fixed virtual grid by inverse distance.
 
-Each grid point takes the inverse-distance-weighted mean of its k nearest
-sensors (w = 1/d, summed nearest first); a sensor sitting exactly on a grid
-point wins outright.  Snapshots with fewer than k sensors are marked
-invalid instead of being interpolated from a thinner neighborhood.
+Each grid point takes the inverse-distance-weighted mean of the k nearest
+of a snapshot's (x, y, kstar) sensor rows (w = 1/d, summed nearest first);
+a sensor sitting exactly on a grid point wins outright.  Snapshots with
+fewer than k sensors are marked invalid instead of being interpolated from
+a thinner neighborhood.
 """
 from __future__ import annotations
 
@@ -66,7 +67,7 @@ def idw_interpolate(snapshot: SensorSnapshot, spec: GridSpec, k_neighbors: int =
 
     Neighbor selection is exact; distance ties at the k-th slot are broken
     by sensor (x, y) and then input order, so the result does not depend on
-    how the sensor list happened to be ordered.
+    how the sensor rows happened to be ordered.
     """
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
@@ -75,7 +76,7 @@ def idw_interpolate(snapshot: SensorSnapshot, spec: GridSpec, k_neighbors: int =
     if n_sensors < k_neighbors:
         return GridSnapshot(t=snapshot.t, values=np.full((ny, nx), np.nan), valid=False)
 
-    arr = np.asarray(snapshot.sensors, dtype=np.float64)
+    arr = snapshot.sensors
     order = np.lexsort((arr[:, 1], arr[:, 0]))  # canonical: by x, then y
     sx, sy, sz = arr[order, 0], arr[order, 1], arr[order, 2]
 

@@ -3,7 +3,8 @@
 A clear-sky-index field sweeps the observation area at constant speed and
 direction (degrees clockwise from north; 0 moves north, 90 east).  Each
 sampling instant the field is read at the active vehicle positions with a
-nearest-pixel lookup, producing the measurement stream the estimator sees.
+nearest-pixel lookup, producing the measurement stream the estimator sees:
+one SensorSnapshot of (x, y, kstar) array rows per instant.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -110,33 +111,30 @@ def sample_field_at(
     anchor: tuple,
     truth: MotionTruth,
     t: int,
-    positions: Sequence,
-    vehicle_ids: tuple = (),
+    positions,
+    vehicle_ids=(),
 ) -> SensorSnapshot:
-    """Read the moving field at sensor positions for one instant.
+    """Read the moving field at (n, 2) sensor positions for one instant.
 
     The field translates with the truth velocity, so the value seen at world
     position p at time t sits at p - anchor - t*v in field coordinates;
     the containing pixel is the nearest-pixel lookup.  Lookups outside the
     raster mean the field was sized or anchored wrong: fail fast.
     """
-    if not positions:
-        return SensorSnapshot(t=t, sensors=(), vehicle_ids=vehicle_ids)
-    pos = np.asarray(positions, dtype=np.float64)
+    pos = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
     v = truth.velocity
     qx = pos[:, 0] - anchor[0] - t * v[0]
     qy = pos[:, 1] - anchor[1] - t * v[1]
     pix = field.pixel_size_m
     extent = field.extent_m
-    if qx.min() < 0 or qy.min() < 0 or qx.max() > extent or qy.max() > extent:
+    if pos.size and (qx.min() < 0 or qy.min() < 0 or qx.max() > extent or qy.max() > extent):
         raise FieldSizingError(
             f"lookup left the field raster at t={t}; "
             f"extent {extent:.0f} m is too small for this transit"
         )
     ix = np.minimum((qx / pix).astype(np.int64), field.side_px - 1)
     iy = np.minimum((qy / pix).astype(np.int64), field.side_px - 1)
-    kstar = field.kstar[iy, ix]
-    sensors = tuple((float(p[0]), float(p[1]), float(k)) for p, k in zip(pos, kstar))
+    sensors = np.column_stack([pos, field.kstar[iy, ix]])
     return SensorSnapshot(t=t, sensors=sensors, vehicle_ids=vehicle_ids)
 
 
@@ -157,23 +155,11 @@ def run_transit(
         anchor = default_field_anchor(field, ds.bounds, truth, cfg.duration_s)
     snaps = []
     for t in cfg.sample_times:
-        recs = active_sensor_records(ds, mask, t)
-        ids = tuple(r[0] for r in recs)
-        positions = [(r[1], r[2]) for r in recs]
+        ids, positions = active_sensor_records(ds, mask, t)
         snaps.append(sample_field_at(field, anchor, truth, t, positions, vehicle_ids=ids))
     return MeasurementSeries(
         snapshots=tuple(snaps), truth=truth, sampling_period_s=cfg.sampling_period_s
     )
-
-
-def _central_mode(values: Sequence[float]) -> Optional[float]:
-    """Most frequent value; ties go to the larger (clearer) one."""
-    if not values:
-        return None
-    counts: dict[float, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return max(counts.items(), key=lambda kv: (kv[1], kv[0]))[0]
 
 
 def is_valid_event(
@@ -187,32 +173,29 @@ def is_valid_event(
     one -- differs by more than 1e-6 from the instant's modal central value.
     Qualifying instants need not be contiguous; the event is valid when they
     span more than min_variability_s, i.e. (count - 1) * period exceeds it.
+    Snapshots without vehicle ids have no per-vehicle history and never
+    qualify.  The modal value's ties go to the larger (clearer) one.
     """
     if not series.snapshots:
         raise ValueError("empty measurement series")
-    central = bounds.central_ninth()
+    c = bounds.central_ninth()
     tol = 1e-6
-    prev_kstar: dict[str, float] = {}
+    prev_ids, prev_k = np.empty(0, dtype=str), np.empty(0)
     qualifying = 0
     for snap in series.snapshots:
-        in_central = [
-            (vid, k)
-            for vid, (x, y, k) in zip(snap.vehicle_ids, snap.sensors)
-            if central.contains(x, y) and not (x == central.x1 or y == central.y1)
-        ]
-        mode = _central_mode([k for _, k in in_central])
-        changed = False
-        for vid, k in in_central:
-            if vid in prev_kstar:
-                if abs(k - prev_kstar[vid]) > tol:
-                    changed = True
-                    break
-            elif mode is not None and abs(k - mode) > tol:
-                changed = True
-                break
-        if changed:
-            qualifying += 1
-        prev_kstar = {vid: s[2] for vid, s in zip(snap.vehicle_ids, snap.sensors)}
+        ids = snap.vehicle_ids
+        x, y, k = snap.sensors[: len(ids)].T
+        central = (c.x0 <= x) & (x < c.x1) & (c.y0 <= y) & (y < c.y1)
+        ids_c, k_c = ids[central], k[central]
+        if k_c.size:
+            values, counts = np.unique(k_c, return_counts=True)
+            reference = np.full(k_c.shape, values[counts == counts.max()][-1])
+            _, here, before = np.intersect1d(
+                ids_c, prev_ids, assume_unique=True, return_indices=True
+            )
+            reference[here] = prev_k[before]
+            qualifying += bool((np.abs(k_c - reference) > tol).any())
+        prev_ids, prev_k = ids, k
     return (qualifying - 1) * series.sampling_period_s > min_variability_s
 
 
@@ -226,6 +209,7 @@ def export_series(series: MeasurementSeries, cfg: TransitConfig, path) -> None:
     }
     lines = ["# " + json.dumps(header, sort_keys=True), "t,x,y,kstar"]
     for snap in series.snapshots:
-        for x, y, k in snap.sensors:
+        # Python floats format faster than numpy scalars
+        for x, y, k in snap.sensors.tolist():
             lines.append(f"{snap.t},{x:.3f},{y:.3f},{k:.6f}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -135,6 +135,35 @@ def test_campaign_zero_sims_exit_1(tmp_path, fleet_csv):
     assert main(["campaign", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("timestep_list = 10", "timestep_list = 0"),
+        ("timestep_list = 10", "timestep_list = -10"),
+        ("sampling_period_s = 1", "sampling_period_s = 0"),
+        ("sampling_period_s = 1", "sampling_period_s = -1"),
+        ("dmin_list = 10", "dmin_list = 0"),
+        ("dmin_list = 10", "dmin_list = 10,-5"),
+        ("field_seed = 99", "field_seed = 99\nk_neighbors = 0"),
+    ],
+    ids=["timestep-0", "timestep-neg", "period-0", "period-neg", "dmin-0", "dmin-neg", "k-0"],
+)
+def test_campaign_bad_parameters_exit_1(tmp_path, fleet_csv, capsys, old, new):
+    text = CAMPAIGN_CFG.format(traj=fleet_csv)
+    assert old in text
+    cfg = _write_config(tmp_path, text.replace(old, new))
+    assert main(["campaign", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_campaign_jobs_below_one_exit_1(tmp_path, fleet_csv, capsys):
+    cfg = _write_config(tmp_path, CAMPAIGN_CFG.format(traj=fleet_csv))
+    out = tmp_path / "o"
+    assert main(["campaign", "--config", str(cfg), "--out", str(out), "--jobs", "0"]) == 1
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_campaign_thin_fleet_exit_3(tmp_path):
     thin = tmp_path / "thin.csv"
     write_trajectories_csv(random_walk_fleet(2, BOUNDS, 60, seed=1), thin)

@@ -167,21 +167,6 @@ def test_accumulate_timestep_must_match_spacing():
             search(grids, 15, 10.0)
 
 
-def test_accumulate_numba_and_numpy_paths_agree(monkeypatch):
-    if cmae_mod._sad_per_displacement is None:
-        pytest.skip("numba not installed; only one path to test")
-    rng = np.random.default_rng(23)
-    grids = [
-        GridSnapshot(t=10 * i, values=rng.uniform(0.09, 1.2, (18, 14)), valid=True)
-        for i in range(6)
-    ]
-    fast = accumulate_cmae(grids, 10, 10.0, v_cap=12.0)
-    monkeypatch.setattr(cmae_mod, "_sad_per_displacement", None)
-    slow = accumulate_cmae(grids, 10, 10.0, v_cap=12.0)
-    assert np.array_equal(fast.displacements, slow.displacements)
-    assert np.allclose(fast.cmae, slow.cmae, rtol=1e-5, atol=1e-9)
-
-
 # ------------------------------------------------------------ pruned search
 
 def _assert_pruned_matches_exhaustive(grids, timestep_s, dmin, v_cap):

@@ -82,6 +82,28 @@ def test_campaign_validates_n_simulations():
         _small_config(n_simulations=0)
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"timestep_list": (0,)},
+        {"timestep_list": (10, -10)},
+        {"sampling_period_s": 0},
+        {"dmin_list": (0.0,)},
+        {"dmin_list": (-10.0,)},
+        {"k_neighbors": 0},
+    ],
+)
+def test_campaign_validates_parameters(override):
+    with pytest.raises(ValueError):
+        _small_config(**override)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_run_campaign_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        run_campaign(_small_config(n_simulations=1), jobs=jobs)
+
+
 def test_campaign_single_sim_near_exact():
     # base_seed 2 draws ~8.6 m/s @ 107.5 deg; a pure-translation sweep over a
     # dense fleet must land within the displacement quantum (1 m/s)

@@ -9,7 +9,7 @@ from cloudmotion.fleet import (
     ShadowMask,
     TrajectoryDataset,
     TrajectoryParseError,
-    active_sensors,
+    active_sensor_records,
     load_shadow_mask,
     load_trajectories,
     subsample_by_penetration,
@@ -147,10 +147,28 @@ def test_mask_lookup_pixel_convention():
     assert not m.is_shadowed(10.0, 0.0)
 
 
+def test_mask_lookup_arrays_on_pixel_edges():
+    m = _checkerboard_mask()
+    # every point sits on a pixel edge and belongs to the higher-index pixel
+    x = np.array([0.0, 10.0, 20.0, 10.0, 0.0, 90.0])
+    y = np.array([0.0, 0.0, 20.0, 10.0, 10.0, 90.0])
+    expected = [True, False, True, False, False, False]
+    assert m.is_shadowed(x, y).tolist() == expected
+    assert [bool(m.is_shadowed(a, b)) for a, b in zip(x, y)] == expected
+    assert m.is_shadowed(x.reshape(2, 3), y.reshape(2, 3)).shape == (2, 3)
+    assert m.is_shadowed(np.empty(0), np.empty(0)).shape == (0,)
+
+
 def test_mask_coverage_error():
     m = _checkerboard_mask()
     with pytest.raises(MaskCoverageError):
         m.is_shadowed(150.0, 5.0)
+    # the far raster edge (x = 100) is already off the raster
+    for off in ((100.0, 5.0), (5.0, -0.001), (150.0, 5.0)):
+        x = np.array([5.0, 15.0, off[0], 95.0])
+        y = np.array([5.0, 5.0, off[1], 95.0])
+        with pytest.raises(MaskCoverageError, match="outside mask raster"):
+            m.is_shadowed(x, y)
 
 
 def test_mask_round_trip(tmp_path):
@@ -163,28 +181,37 @@ def test_mask_round_trip(tmp_path):
     assert back.pixel_size_m == 10.0
 
 
+def _positions(ds, mask, t):
+    return active_sensor_records(ds, mask, t)[1].tolist()
+
+
 def test_active_sensors_mask_exclusion():
     ds = _make_ds(n_ids=4)  # x = 5, 14, 23, 32 at y = 50
     mask = np.zeros((10, 10), dtype=bool)
     mask[5, 0] = True  # shadow over x in [0, 10), y in [50, 60)
     m = ShadowMask(mask=mask, origin=(0.0, 0.0), pixel_size_m=10.0)
-    with_mask = active_sensors(ds, m, 0)
-    without = active_sensors(ds, None, 0)
+    with_mask = _positions(ds, m, 0)
+    without = _positions(ds, None, 0)
     assert len(without) == 4
     assert len(with_mask) == 3
-    assert (5.0, 50.0) not in with_mask
+    assert [5.0, 50.0] not in with_mask
+    ids, _ = active_sensor_records(ds, m, 0)
+    assert ids.tolist() == ["v01", "v02", "v03"]
 
 
 def test_active_sensors_all_lit_mask_is_identity():
     ds = _make_ds(n_ids=4)
     m = ShadowMask(mask=np.zeros((10, 10), dtype=bool), origin=(0.0, 0.0), pixel_size_m=10.0)
-    assert active_sensors(ds, m, 1) == active_sensors(ds, None, 1)
+    lit_ids, lit_xy = active_sensor_records(ds, m, 1)
+    all_ids, all_xy = active_sensor_records(ds, None, 1)
+    assert np.array_equal(lit_ids, all_ids)
+    assert np.array_equal(lit_xy, all_xy)
 
 
 def test_active_sensors_requires_valid_time():
     ds = _make_ds(n_t=3)
     with pytest.raises(ValueError):
-        active_sensors(ds, None, 7)
+        active_sensor_records(ds, None, 7)
 
 
 @given(st.integers(0, 1000))
@@ -196,4 +223,4 @@ def test_mask_never_increases_count(seed):
         mask=rng.random((10, 10)) < 0.4, origin=(0.0, 0.0), pixel_size_m=10.0
     )
     for t in range(3):
-        assert len(active_sensors(ds, m, t)) <= len(active_sensors(ds, None, t))
+        assert len(_positions(ds, m, t)) <= len(_positions(ds, None, t))

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cloudmotion.fleet import TrajectoryDataset
+from cloudmotion.fleet import SensorSnapshot, TrajectoryDataset
 from cloudmotion.fractal_field import ClearSkyField
 from cloudmotion.geometry import Rect
 from cloudmotion.transit import (
     FieldSizingError,
+    MeasurementSeries,
     MotionTruth,
     TransitConfig,
     default_field_anchor,
@@ -157,7 +158,31 @@ def test_transit_deterministic():
     truth = MotionTruth(12.0, 200.0)
     a = run_transit(field, ds, None, truth, cfg)
     b = run_transit(field, ds, None, truth, cfg)
-    assert a == b
+    assert (a.truth, a.sampling_period_s) == (b.truth, b.sampling_period_s)
+    assert len(a.snapshots) == len(b.snapshots)
+    for sa, sb in zip(a.snapshots, b.snapshots):
+        assert sa.t == sb.t
+        assert np.array_equal(sa.sensors, sb.sensors)
+        assert np.array_equal(sa.vehicle_ids, sb.vehicle_ids)
+
+
+def test_transit_snapshots_hold_arrays():
+    field = _flat_field()
+    ds = _static_fleet([(100.0, 100.0), (500.0, 800.0), (300.0, 450.0)], 5)
+    series = run_transit(field, ds, None, MotionTruth(12.0, 200.0), TransitConfig(5, 1))
+    for snap in series.snapshots:
+        assert isinstance(snap.sensors, np.ndarray)
+        assert snap.sensors.dtype == np.float64 and snap.sensors.shape == (3, 3)
+        assert snap.vehicle_ids.tolist() == ["v000", "v001", "v002"]
+        assert snap.sensors[:, :2].tolist() == [[100.0, 100.0], [500.0, 800.0], [300.0, 450.0]]
+
+
+def test_sensor_snapshot_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        SensorSnapshot(t=0, sensors=[(1.0, 2.0)])
+    with pytest.raises(ValueError, match="parallel"):
+        SensorSnapshot(t=0, sensors=[(1.0, 2.0, 0.5)], vehicle_ids=["a", "b"])
+    assert SensorSnapshot(t=0, sensors=()).sensors.shape == (0, 3)
 
 
 def test_transit_requires_dataset_coverage():
@@ -276,3 +301,47 @@ def test_validity_monotone_in_requirement():
     verdicts = [is_valid_event(series, BOUNDS, m) for m in (10, 60, 110, 150, 200)]
     # once invalid, stays invalid as the requirement grows
     assert verdicts == sorted(verdicts, reverse=True)
+
+
+def _is_valid_event_reference(series, bounds, min_variability_s):
+    """The validity rule one sensor at a time, with dicts."""
+    central = bounds.central_ninth()
+    prev = {}
+    qualifying = 0
+    for snap in series.snapshots:
+        rows = [
+            (vid, k)
+            for vid, (x, y, k) in zip(snap.vehicle_ids.tolist(), snap.sensors.tolist())
+            if central.x0 <= x < central.x1 and central.y0 <= y < central.y1
+        ]
+        counts = {}
+        for _, k in rows:
+            counts[k] = counts.get(k, 0) + 1
+        mode = max(counts.items(), key=lambda kv: (kv[1], kv[0]))[0] if counts else None
+        qualifying += any(
+            abs(k - prev[vid]) > 1e-6 if vid in prev else abs(k - mode) > 1e-6
+            for vid, k in rows
+        )
+        prev = dict(zip(snap.vehicle_ids.tolist(), snap.sensors[:, 2].tolist()))
+    return (qualifying - 1) * series.sampling_period_s > min_variability_s
+
+
+@given(seed=st.integers(0, 10_000), n_snaps=st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_validity_matches_per_sensor_reference(seed, n_snaps):
+    # churning ids, positions on the central rectangle's edges, and few
+    # k* levels so modal ties and unchanged values are common
+    rng = np.random.default_rng(seed)
+    c = BOUNDS.central_ninth()
+    xs = np.array([0.0, c.x0, 300.0, c.x1, 600.0])
+    ys = np.array([0.0, c.y0, 450.0, c.y1, 900.0])
+    snaps = []
+    for t in range(n_snaps):
+        ids = np.flatnonzero(rng.random(8) < 0.7)
+        rng.shuffle(ids)
+        kstar = rng.choice([0.09, 0.5, 1.2], ids.size)
+        sensors = np.column_stack([rng.choice(xs, ids.size), rng.choice(ys, ids.size), kstar])
+        snaps.append(SensorSnapshot(t=t, sensors=sensors, vehicle_ids=[f"v{i}" for i in ids]))
+    series = MeasurementSeries(tuple(snaps), MotionTruth(1.0, 0.0), 1)
+    for m in (0, 3, 10, 20):
+        assert is_valid_event(series, BOUNDS, m) == _is_valid_event_reference(series, BOUNDS, m)
