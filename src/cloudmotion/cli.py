@@ -180,6 +180,8 @@ def _build_field(cfg: dict, bounds: Rect, duration_s: int, seed: int):
 
 
 def cmd_campaign(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     cfg = parse_config(args.config)
     bounds, ds, mask, input_paths = _load_scenario(cfg)
     base_seed = args.seed if args.seed is not None else _get(cfg, "base_seed", int, 0)

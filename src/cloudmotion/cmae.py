@@ -20,13 +20,15 @@ from .gridding import GridSnapshot
 
 V_CAP_MPS = 40.0
 MIN_OVERLAP_FRACTION = 0.1
-# search_cmv prunes a candidate only when its lower bound is above the
-# third-best CMAE by this relative slack.  The SAD rounds each |a - b| to
-# float32 (relative error under 6e-8) before summing in float64, while the
-# bound subtracts float64 sums of the same float32 values, so a computed
-# bound can exceed the computed CMAE it bounds by far less than 1e-3
-# relative: rounding cannot drop a true top-3 candidate or tie.
+# search_cmv prunes a candidate only when a lower bound (all pairs, or per
+# chunk of _CHUNK_PAIRS consecutive pairs) is above the third-best CMAE by
+# this relative slack.  The SAD rounds each |a - b| to float32 (relative
+# error under 6e-8) before summing in float64, while either bound subtracts
+# float64 sums of the same float32 values, so a computed bound can exceed
+# the computed CMAE it bounds by far less than 1e-3 relative: rounding
+# cannot drop a true top-3 candidate or tie.
 _PRUNE_MARGIN = 1e-3
+_CHUNK_PAIRS = 8
 
 
 class EmptyOverlapError(ValueError):
@@ -187,6 +189,37 @@ def accumulate_cmae(
     return CmaeSurface(displacements=cands, cmae=cmae, pair_count=a_stack.shape[0])
 
 
+def _bounds(
+    a_sums: np.ndarray, b_sums: np.ndarray, cands: np.ndarray, n_cells: np.ndarray
+) -> np.ndarray:
+    """Lower bound on the CMAE per candidate row, from pair-summed images.
+
+    a_sums and b_sums are (chunks, ny, nx) sums of consecutive pair groups.
+    By the triangle inequality, sum over chunks and overlap cells of
+    |sum_p a_p - sum_p shifted b_p|, divided by the overlap size, never
+    exceeds the CMAE (Li & Salari, IEEE TIP 1995); the more chunks, the
+    tighter the bound (Gao, Duanmu & Zou, IEEE TIP 2000).
+    """
+    _, ny, nx = a_sums.shape
+    bound = np.empty(cands.shape[0])
+    for i, (dx, dy) in enumerate(cands):
+        sa, sb = _overlap_slices(nx, ny, int(dx), int(dy))
+        diff = a_sums[(slice(None),) + sa] - b_sums[(slice(None),) + sb]
+        bound[i] = np.abs(diff, out=diff).sum() / n_cells[i]
+    return bound
+
+
+def _chunk_sums(stack: np.ndarray) -> np.ndarray:
+    """(chunks, ny, nx) float64 sums of _CHUNK_PAIRS consecutive pairs.
+
+    The stack is zero-padded to whole chunks; padded pairs add |0 - 0| = 0
+    to a bound.
+    """
+    pad = -stack.shape[0] % _CHUNK_PAIRS
+    padded = np.pad(stack, ((0, pad), (0, 0), (0, 0)))
+    return padded.reshape(-1, _CHUNK_PAIRS, *stack.shape[1:]).sum(axis=1, dtype=np.float64)
+
+
 def search_cmv(
     grids: list,
     timestep_s: int,
@@ -196,32 +229,32 @@ def search_cmv(
 ) -> CmvEstimate:
     """estimate_cmv(accumulate_cmae(...)), bit for bit, by successive elimination.
 
-    By the triangle inequality, sum over overlap cells of |sum_p a_p -
-    sum_p shifted b_p|, divided by the overlap size, never exceeds a
-    candidate's CMAE (Li & Salari, IEEE TIP 1995).  Candidates are taken in
-    increasing order of that bound and get their exact CMAE from the same
-    kernel accumulate_cmae uses; the search stops once the next bound is
-    above the third-best exact CMAE.  Every candidate that could enter the
-    top three, ties included, is therefore evaluated, and n_candidates
-    still counts the whole admissible set.
+    Every candidate gets the all-pairs bound of _bounds.  Candidates are
+    taken in increasing order of it, and the search stops once it is above
+    the third-best exact CMAE.  A candidate below that limit must also pass
+    the tighter per-chunk bound before it gets its exact CMAE from the same
+    kernel accumulate_cmae uses.  Every candidate that could enter the top
+    three, ties included, is therefore evaluated, and n_candidates still
+    counts the whole admissible set.
     """
     a_stack, b_stack, cands, n_cells = _search_space(
         grids, timestep_s, dmin, v_cap, min_overlap_frac
     )
-    a_sum = a_stack.sum(axis=0, dtype=np.float64)
-    b_sum = b_stack.sum(axis=0, dtype=np.float64)
-    ny, nx = a_sum.shape
-    bound = np.empty(cands.shape[0])
-    for i, (dx, dy) in enumerate(cands):
-        sa, sb = _overlap_slices(nx, ny, int(dx), int(dy))
-        bound[i] = np.abs(a_sum[sa] - b_sum[sb]).sum() / n_cells[i]
+    a_chunks, b_chunks = _chunk_sums(a_stack), _chunk_sums(b_stack)
+    bound = _bounds(a_chunks.sum(axis=0)[None], b_chunks.sum(axis=0)[None], cands, n_cells)
+    two_level = a_chunks.shape[0] > 1
 
     evaluated, values = [], []
     best = []  # the three lowest exact CMAEs so far, ascending
     for i in np.argsort(bound, kind="stable"):
-        if len(best) == 3 and bound[i] > best[2] * (1.0 + _PRUNE_MARGIN):
-            break
-        value = float(_sad_sums(a_stack, b_stack, cands[i : i + 1])[0] / n_cells[i])
+        one = slice(i, i + 1)
+        if len(best) == 3:
+            limit = best[2] * (1.0 + _PRUNE_MARGIN)
+            if bound[i] > limit:
+                break
+            if two_level and _bounds(a_chunks, b_chunks, cands[one], n_cells[one])[0] > limit:
+                continue
+        value = float(_sad_sums(a_stack, b_stack, cands[one])[0] / n_cells[i])
         evaluated.append(i)
         values.append(value)
         best = sorted(best + [value])[:3]

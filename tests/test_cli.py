@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import cloudmotion.cli as cli
 from cloudmotion.cli import ConfigError, main, parse_config
 from cloudmotion.fleet import ShadowMask, write_shadow_mask
 from cloudmotion.geometry import Rect
@@ -156,7 +157,11 @@ def test_campaign_bad_parameters_exit_1(tmp_path, fleet_csv, capsys, old, new):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_campaign_jobs_below_one_exit_1(tmp_path, fleet_csv, capsys):
+def test_campaign_jobs_below_one_exit_1(tmp_path, fleet_csv, capsys, monkeypatch):
+    def no_field(*args, **kwargs):
+        raise AssertionError("the field was built before --jobs was checked")
+
+    monkeypatch.setattr(cli, "make_clearsky_field", no_field)
     cfg = _write_config(tmp_path, CAMPAIGN_CFG.format(traj=fleet_csv))
     out = tmp_path / "o"
     assert main(["campaign", "--config", str(cfg), "--out", str(out), "--jobs", "0"]) == 1

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cloudmotion.cmae as cmae_mod
@@ -179,6 +179,28 @@ def _assert_pruned_matches_exhaustive(grids, timestep_s, dmin, v_cap):
     return pruned
 
 
+def _random_grids(seed, ny, nx, n_snaps, levels, invalid=()):
+    """Uniform k* grids 10 s apart; levels > 0 quantises them (ties)."""
+    rng = np.random.default_rng(seed)
+    grids = []
+    for k in range(n_snaps):
+        values = rng.uniform(0.09, 1.2, (ny, nx))
+        if levels:
+            values = np.round(values * levels) / levels
+        grids.append(GridSnapshot(t=10 * k, values=values, valid=k not in invalid))
+    return grids
+
+
+def _assert_pruned_matches_or_both_raise(grids, v_cap):
+    try:
+        exhaustive = estimate_cmv(accumulate_cmae(grids, 10, 10.0, v_cap=v_cap), 10, 10.0)
+    except InsufficientPairsError:
+        with pytest.raises(InsufficientPairsError):
+            search_cmv(grids, 10, 10.0, v_cap=v_cap)
+        return
+    assert search_cmv(grids, 10, 10.0, v_cap=v_cap) == exhaustive
+
+
 @given(
     seed=st.integers(0, 10_000),
     ny=st.integers(3, 14),
@@ -190,20 +212,113 @@ def _assert_pruned_matches_exhaustive(grids, timestep_s, dmin, v_cap):
 )
 @settings(max_examples=60, deadline=None)
 def test_pruned_search_equals_exhaustive_random(seed, ny, nx, n_snaps, v_cap, levels, invalid):
+    grids = _random_grids(seed, ny, nx, n_snaps, levels, {invalid})
+    _assert_pruned_matches_or_both_raise(grids, v_cap)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    ny=st.integers(3, 10),
+    nx=st.integers(3, 10),
+    n_snaps=st.integers(9, 40),
+    v_cap=st.sampled_from([5.0, 12.0, 40.0]),
+    levels=st.sampled_from([2, 5, 0]),
+    invalid=st.sets(st.integers(0, 39), max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_pruned_search_equals_exhaustive_multi_chunk(seed, ny, nx, n_snaps, v_cap, levels, invalid):
+    # 8+ pairs: the per-chunk bound is in play, and invalid snapshots
+    # drop pairs from inside a chunk
+    grids = _random_grids(seed, ny, nx, n_snaps, levels, invalid)
+    _assert_pruned_matches_or_both_raise(grids, v_cap)
+
+
+def _drifting_grids(seed, ny, nx, n_snaps, blur, sigma, v1, v2, switch):
+    """A blurred random pattern moving by v1 cells per step, then by v2.
+
+    The velocity change blurs the all-pairs sums unevenly, so candidates
+    come out of the all-pairs bound order in an order the chunk bound
+    disagrees with.
+    """
     rng = np.random.default_rng(seed)
-    grids = []
+    pad = 2 * n_snaps
+    base = rng.uniform(0.09, 1.2, (ny + 2 * pad, nx + 2 * pad))
+    kernel = np.ones(blur) / blur
+    for axis in (0, 1):
+        base = np.apply_along_axis(np.convolve, axis, base, kernel, mode="same")
+    grids, oy, ox = [], pad, pad
     for k in range(n_snaps):
-        values = rng.uniform(0.09, 1.2, (ny, nx))
-        if levels:
-            values = np.round(values * levels) / levels
-        grids.append(GridSnapshot(t=10 * k, values=values, valid=k != invalid))
+        values = base[oy : oy + ny, ox : ox + nx] + rng.normal(0.0, sigma, (ny, nx))
+        grids.append(GridSnapshot(t=10 * k, values=values, valid=True))
+        dx, dy = v1 if k < switch else v2
+        oy, ox = oy - dy, ox - dx
+    return grids
+
+
+_velocity = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    ny=st.integers(6, 15),
+    nx=st.integers(6, 15),
+    n_snaps=st.integers(10, 30),
+    blur=st.integers(1, 5),
+    sigma=st.sampled_from([0.0, 0.01, 0.03]),
+    v1=_velocity,
+    v2=_velocity,
+    switch=st.integers(1, 29),
+)
+# a candidate the chunk bound rejects comes before a top-3 one in
+# all-pairs bound order: stopping the search at a chunk rejection fails here
+@example(seed=9271, ny=10, nx=10, n_snaps=19, blur=5, sigma=0.0, v1=(0, -2), v2=(0, 2), switch=12)
+@settings(max_examples=40, deadline=None)
+def test_pruned_search_equals_exhaustive_drifting(seed, ny, nx, n_snaps, blur, sigma, v1, v2, switch):
+    grids = _drifting_grids(seed, ny, nx, n_snaps, blur, sigma, v1, v2, switch)
+    _assert_pruned_matches_exhaustive(grids, 10, 10.0, 40.0)
+
+
+@pytest.mark.parametrize("n_pairs", [8, 9, 16, 17])
+def test_pruned_search_chunk_boundaries(n_pairs):
+    # one chunk (single level), a 1-pair tail chunk, two full chunks, a
+    # 1-pair tail after two full ones
+    grids = _random_grids(23 + n_pairs, 9, 11, n_pairs + 1, levels=0)
+    a_stack, b_stack, _, _ = cmae_mod._search_space(grids, 10, 10.0, 40.0, 0.1)
+    for stack in (a_stack, b_stack):
+        chunks = cmae_mod._chunk_sums(stack)
+        assert chunks.shape == (-(-n_pairs // cmae_mod._CHUNK_PAIRS),) + stack.shape[1:]
+        for c, chunk in enumerate(chunks):
+            part = stack[c * cmae_mod._CHUNK_PAIRS : (c + 1) * cmae_mod._CHUNK_PAIRS]
+            assert np.array_equal(chunk, part.sum(axis=0, dtype=np.float64))
+    _assert_pruned_matches_exhaustive(grids, 10, 10.0, 40.0)
+    quantised = _random_grids(23 + n_pairs, 9, 11, n_pairs + 1, levels=2)
+    _assert_pruned_matches_exhaustive(quantised, 10, 10.0, 40.0)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    ny=st.integers(3, 10),
+    nx=st.integers(3, 10),
+    n_snaps=st.integers(2, 40),
+    levels=st.sampled_from([2, 5, 0]),
+    invalid=st.sets(st.integers(0, 39), max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_bounds_are_sound_and_nested(seed, ny, nx, n_snaps, levels, invalid):
+    # all-pairs bound <= chunk bound <= exact CMAE, up to rounding, for
+    # every candidate
+    grids = _random_grids(seed, ny, nx, n_snaps, levels, invalid)
     try:
-        exhaustive = estimate_cmv(accumulate_cmae(grids, 10, 10.0, v_cap=v_cap), 10, 10.0)
+        a_stack, b_stack, cands, n_cells = cmae_mod._search_space(grids, 10, 10.0, 40.0, 0.1)
     except InsufficientPairsError:
-        with pytest.raises(InsufficientPairsError):
-            search_cmv(grids, 10, 10.0, v_cap=v_cap)
         return
-    assert search_cmv(grids, 10, 10.0, v_cap=v_cap) == exhaustive
+    a_chunks, b_chunks = cmae_mod._chunk_sums(a_stack), cmae_mod._chunk_sums(b_stack)
+    a_all, b_all = a_chunks.sum(axis=0)[None], b_chunks.sum(axis=0)[None]
+    all_pairs = cmae_mod._bounds(a_all, b_all, cands, n_cells)
+    chunked = cmae_mod._bounds(a_chunks, b_chunks, cands, n_cells)
+    exact = cmae_mod._sad_sums(a_stack, b_stack, cands) / n_cells
+    assert np.all(all_pairs <= chunked * (1.0 + 1e-12))
+    assert np.all(chunked <= exact * (1.0 + cmae_mod._PRUNE_MARGIN))
 
 
 def test_pruned_search_translation_zero_cmae():
@@ -217,12 +332,13 @@ def test_pruned_search_skips_most_candidates_on_smooth_field(monkeypatch):
     # a spatially correlated field, as cloud shadows are: far displacements
     # have large bounds and are never given an exact SAD
     rng = np.random.default_rng(18)
-    noise = rng.uniform(0.09, 1.2, (80, 80))
+    noise = rng.uniform(0.09, 1.2, (120, 120))
     kernel = np.ones(9) / 9.0
     smooth = np.apply_along_axis(np.convolve, 0, noise, kernel, mode="valid")
     smooth = np.apply_along_axis(np.convolve, 1, smooth, kernel, mode="valid")
     dx, dy = 3, -2
-    windows = [smooth[20 - k * dy : 50 - k * dy, 20 - k * dx : 50 - k * dx] for k in range(5)]
+    n_snaps = 18  # 17 pairs: two full chunks and a 1-pair tail
+    windows = [smooth[20 - k * dy : 50 - k * dy, 60 - k * dx : 90 - k * dx] for k in range(n_snaps)]
     grids = [GridSnapshot(t=10 * k, values=w.copy(), valid=True) for k, w in enumerate(windows)]
     evaluated = []
     sad_sums = cmae_mod._sad_sums
@@ -233,10 +349,19 @@ def test_pruned_search_skips_most_candidates_on_smooth_field(monkeypatch):
 
     monkeypatch.setattr(cmae_mod, "_sad_sums", counting)
     est = search_cmv(grids, 10, 5.0, v_cap=20.0)
-    assert est.top3[0] == (dx, dy, 0.0)
-    assert sum(evaluated) < est.n_candidates // 10
+    two_level = sum(evaluated)
+    evaluated.clear()
+    monkeypatch.setattr(cmae_mod, "_CHUNK_PAIRS", n_snaps)  # one chunk: all-pairs bound only
+    one_level_est = search_cmv(grids, 10, 5.0, v_cap=20.0)
+    one_level = sum(evaluated)
     monkeypatch.undo()
-    assert est == estimate_cmv(accumulate_cmae(grids, 10, 5.0, v_cap=20.0), 10, 5.0)
+    assert est.top3[0] == (dx, dy, 0.0)
+    # over 17 pairs the moving pattern blurs the all-pairs sums (479 exact
+    # SADs); the chunk sums keep it sharp (80)
+    assert two_level < est.n_candidates // 10
+    assert two_level < one_level
+    exhaustive = estimate_cmv(accumulate_cmae(grids, 10, 5.0, v_cap=20.0), 10, 5.0)
+    assert est == one_level_est == exhaustive
 
 
 def test_pruned_search_constant_grids_all_tie():
