@@ -328,18 +328,20 @@ def test_pruned_search_translation_zero_cmae():
         assert est.top3 == ((dx, dy, 0.0),)
 
 
-def test_pruned_search_skips_most_candidates_on_smooth_field(monkeypatch):
-    # a spatially correlated field, as cloud shadows are: far displacements
-    # have large bounds and are never given an exact SAD
+def _smooth_translation_grids(n_snaps, side, x0, dx=3, dy=-2):
+    # a spatially correlated field, as cloud shadows are, moving by (dx, dy)
+    # cells per 10 s snapshot
     rng = np.random.default_rng(18)
-    noise = rng.uniform(0.09, 1.2, (120, 120))
+    noise = rng.uniform(0.09, 1.2, (side, side))
     kernel = np.ones(9) / 9.0
     smooth = np.apply_along_axis(np.convolve, 0, noise, kernel, mode="valid")
     smooth = np.apply_along_axis(np.convolve, 1, smooth, kernel, mode="valid")
-    dx, dy = 3, -2
-    n_snaps = 18  # 17 pairs: two full chunks and a 1-pair tail
-    windows = [smooth[20 - k * dy : 50 - k * dy, 60 - k * dx : 90 - k * dx] for k in range(n_snaps)]
-    grids = [GridSnapshot(t=10 * k, values=w.copy(), valid=True) for k, w in enumerate(windows)]
+    windows = [smooth[20 - k * dy : 50 - k * dy, x0 - k * dx : x0 + 30 - k * dx] for k in range(n_snaps)]
+    return [GridSnapshot(t=10 * k, values=w.copy(), valid=True) for k, w in enumerate(windows)]
+
+
+def _counted_search(monkeypatch, grids):
+    """search_cmv's estimate and the number of exact SADs it computed."""
     evaluated = []
     sad_sums = cmae_mod._sad_sums
 
@@ -347,17 +349,33 @@ def test_pruned_search_skips_most_candidates_on_smooth_field(monkeypatch):
         evaluated.append(len(cands))
         return sad_sums(a, b, cands)
 
-    monkeypatch.setattr(cmae_mod, "_sad_sums", counting)
-    est = search_cmv(grids, 10, 5.0, v_cap=20.0)
-    two_level = sum(evaluated)
-    evaluated.clear()
-    monkeypatch.setattr(cmae_mod, "_CHUNK_PAIRS", n_snaps)  # one chunk: all-pairs bound only
-    one_level_est = search_cmv(grids, 10, 5.0, v_cap=20.0)
-    one_level = sum(evaluated)
-    monkeypatch.undo()
-    assert est.top3[0] == (dx, dy, 0.0)
-    # over 17 pairs the moving pattern blurs the all-pairs sums (479 exact
-    # SADs); the chunk sums keep it sharp (80)
+    with monkeypatch.context() as m:
+        m.setattr(cmae_mod, "_sad_sums", counting)
+        est = search_cmv(grids, 10, 5.0, v_cap=20.0)
+    return est, sum(evaluated)
+
+
+def test_pruned_search_skips_most_candidates_on_smooth_field(monkeypatch):
+    # 4 pairs, one chunk: the all-pairs bound prunes on its own, and far
+    # displacements are never given an exact SAD
+    grids = _smooth_translation_grids(5, 80, 20)
+    est, evaluated = _counted_search(monkeypatch, grids)
+    assert est.top3[0] == (3, -2, 0.0)
+    assert evaluated < est.n_candidates // 10
+    assert est == estimate_cmv(accumulate_cmae(grids, 10, 5.0, v_cap=20.0), 10, 5.0)
+
+
+def test_chunk_bounds_prune_more_on_long_smooth_series(monkeypatch):
+    # 17 pairs: two full chunks and a 1-pair tail. The moving pattern blurs
+    # the all-pairs sums (479 exact SADs with that level alone); the chunk
+    # sums keep it sharp (80)
+    n_snaps = 18
+    grids = _smooth_translation_grids(n_snaps, 120, 60)
+    est, two_level = _counted_search(monkeypatch, grids)
+    with monkeypatch.context() as m:
+        m.setattr(cmae_mod, "_CHUNK_PAIRS", n_snaps)  # one chunk: all-pairs bound only
+        one_level_est, one_level = _counted_search(monkeypatch, grids)
+    assert est.top3[0] == (3, -2, 0.0)
     assert two_level < est.n_candidates // 10
     assert two_level < one_level
     exhaustive = estimate_cmv(accumulate_cmae(grids, 10, 5.0, v_cap=20.0), 10, 5.0)
