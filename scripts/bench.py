@@ -7,7 +7,9 @@ truth-draw seed and penetration rate (0.1 and 1.0) times the three
 per-simulation stages with time.perf_counter: run_transit, grid_series
 and search_cmv.
 Each record also holds the estimate, so runs of two versions of the
-library can be checked for identical results.
+library can be checked for identical results, and search_cmv's counters
+(candidates, bounds computed and rejections per level, chunks summed by
+partial distortion, full exact SADs).
 
     PYTHONPATH=src python scripts/bench.py --seeds 1,2,3 --out stages.json
 """
@@ -37,9 +39,9 @@ TIMESTEP_S = 10
 PRS = (0.1, 1.0)
 
 
-def _timed(fn, *args):
+def _timed(fn, *args, **kwargs):
     t0 = time.perf_counter()
-    out = fn(*args)
+    out = fn(*args, **kwargs)
     return out, round(time.perf_counter() - t0, 4)
 
 
@@ -58,8 +60,9 @@ def run(seeds, prs) -> dict:
         for pr, ds in ds_by_pr.items():
             series, transit_s = _timed(run_transit, field, ds, None, truth, tcfg)
             grids, grid_s = _timed(grid_series, series, GridSpec(BOUNDS, DMIN), 3)
+            search_stats = {}
             try:
-                est, search_s = _timed(search_cmv, grids, TIMESTEP_S, DMIN)
+                est, search_s = _timed(search_cmv, grids, TIMESTEP_S, DMIN, stats=search_stats)
                 estimate = {"speed": est.speed, "direction_deg": est.direction_deg,
                             "top3": [list(d) for d in est.top3]}
             except InsufficientPairsError:
@@ -67,7 +70,7 @@ def run(seeds, prs) -> dict:
             records.append({
                 "seed": seed, "pr": pr,
                 "run_transit_s": transit_s, "grid_series_s": grid_s, "search_cmv_s": search_s,
-                "estimate": estimate,
+                "estimate": estimate, "search_stats": search_stats,
             })
 
     stages = ("run_transit_s", "grid_series_s", "search_cmv_s")

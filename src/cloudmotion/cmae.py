@@ -6,13 +6,22 @@ accumulated over the whole observation window.  The three displacements
 with the lowest cumulative error, inverse-error weighted, give a sub-cell
 velocity and direction estimate.  accumulate_cmae computes the whole error
 surface; search_cmv reaches the same estimate while most candidates get
-only a cheap lower bound.
+only cheap lower bounds.
+
+search_cmv is exact successive elimination over a four-level pyramid of
+lower bounds, each tighter and dearer than the last: the all-pairs bound
+(sums over every pair), the block bound (sums over chunks of
+_CHUNK_PAIRS consecutive pairs and _BLOCK x _BLOCK cell blocks), the chunk
+bound (chunk sums per cell) and partial distortion, which replaces the
+chunk bound terms by exact chunk SADs one chunk at a time.  A candidate
+that survives all four gets its exact SAD from the kernel accumulate_cmae
+uses.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -20,15 +29,26 @@ from .gridding import GridSnapshot
 
 V_CAP_MPS = 40.0
 MIN_OVERLAP_FRACTION = 0.1
-# search_cmv prunes a candidate only when a lower bound (all pairs, or per
-# chunk of _CHUNK_PAIRS consecutive pairs) is above the third-best CMAE by
-# this relative slack.  The SAD rounds each |a - b| to float32 (relative
-# error under 6e-8) before summing in float64, while either bound subtracts
-# float64 sums of the same float32 values, so a computed bound can exceed
-# the computed CMAE it bounds by far less than 1e-3 relative: rounding
-# cannot drop a true top-3 candidate or tie.
+# search_cmv prunes a candidate only when a lower bound on its CMAE is above
+# the third-best CMAE by this relative slack.  The bounds are the all-pairs
+# bound, the block bound, the chunk bound (per chunk of _CHUNK_PAIRS
+# consecutive pairs) and, in partial distortion, the exact SAD of the first
+# chunks plus the chunk bound terms of the rest.  The SAD rounds each
+# |a - b| to float32 (relative error under 6e-8) before summing in float64,
+# and so do the exact chunk parts; every bound term subtracts float64 sums
+# (over pairs, and over block cells) of the same float32 values.  So a
+# computed bound, mixed or not, can exceed the computed CMAE it bounds by
+# far less than 1e-3 relative: rounding cannot drop a true top-3 candidate
+# or tie.
 _PRUNE_MARGIN = 1e-3
 _CHUNK_PAIRS = 8
+_BLOCK = 3  # side in cells of the blocks of search_cmv's block bound
+# the counters search_cmv writes to its stats dict
+_STATS_KEYS = (
+    "candidates", "bounds_all_pairs", "bounds_block", "bounds_chunk",
+    "rejected_all_pairs", "rejected_block", "rejected_chunk", "rejected_partial",
+    "partial_chunks", "full_sads",
+)
 
 
 class EmptyOverlapError(ValueError):
@@ -189,24 +209,27 @@ def accumulate_cmae(
     return CmaeSurface(displacements=cands, cmae=cmae, pair_count=a_stack.shape[0])
 
 
+def _chunk_terms(a_sums: np.ndarray, b_sums: np.ndarray, dx: int, dy: int) -> np.ndarray:
+    """Per chunk, the sum over overlap cells of |sum_p a_p - sum_p shifted b_p|.
+
+    a_sums and b_sums are (chunks, ny, nx) sums of consecutive pair groups.
+    By the triangle inequality each term is at most that chunk's exact SAD,
+    so their sum over chunks, divided by the overlap size, never exceeds
+    the CMAE (Li & Salari, IEEE TIP 1995); the more chunks, the tighter the
+    bound (Gao, Duanmu & Zou, IEEE TIP 2000).
+    """
+    _, ny, nx = a_sums.shape
+    sa, sb = _overlap_slices(nx, ny, dx, dy)
+    diff = a_sums[(slice(None),) + sa] - b_sums[(slice(None),) + sb]
+    return np.abs(diff, out=diff).sum(axis=(1, 2))
+
+
 def _bounds(
     a_sums: np.ndarray, b_sums: np.ndarray, cands: np.ndarray, n_cells: np.ndarray
 ) -> np.ndarray:
-    """Lower bound on the CMAE per candidate row, from pair-summed images.
-
-    a_sums and b_sums are (chunks, ny, nx) sums of consecutive pair groups.
-    By the triangle inequality, sum over chunks and overlap cells of
-    |sum_p a_p - sum_p shifted b_p|, divided by the overlap size, never
-    exceeds the CMAE (Li & Salari, IEEE TIP 1995); the more chunks, the
-    tighter the bound (Gao, Duanmu & Zou, IEEE TIP 2000).
-    """
-    _, ny, nx = a_sums.shape
-    bound = np.empty(cands.shape[0])
-    for i, (dx, dy) in enumerate(cands):
-        sa, sb = _overlap_slices(nx, ny, int(dx), int(dy))
-        diff = a_sums[(slice(None),) + sa] - b_sums[(slice(None),) + sb]
-        bound[i] = np.abs(diff, out=diff).sum() / n_cells[i]
-    return bound
+    """Lower bound on the CMAE per candidate row: _chunk_terms summed, per cell."""
+    sums = [_chunk_terms(a_sums, b_sums, int(dx), int(dy)).sum() for dx, dy in cands]
+    return np.array(sums) / n_cells
 
 
 def _chunk_sums(stack: np.ndarray) -> np.ndarray:
@@ -220,44 +243,132 @@ def _chunk_sums(stack: np.ndarray) -> np.ndarray:
     return padded.reshape(-1, _CHUNK_PAIRS, *stack.shape[1:]).sum(axis=1, dtype=np.float64)
 
 
+def _block_sums(chunks: np.ndarray) -> list:
+    """Chunk sums pooled over q x q cell blocks (q = _BLOCK), one array per parity.
+
+    Entry [py][px] is (chunks, rows, cols): block (j, i) is the sum over
+    rows py + q*j .. py + q*j + q - 1 and the same columns from px + q*i.
+    Only whole blocks are kept.
+    """
+    q = _BLOCK
+    _, ny, nx = chunks.shape
+    my, mx = max(ny - q + 1, 0), max(nx - q + 1, 0)  # block corners per axis
+    rows = sum(chunks[:, k : k + my] for k in range(q))
+    box = sum(rows[:, :, k : k + mx] for k in range(q))
+    return [[np.ascontiguousarray(box[:, py::q, px::q]) for px in range(q)] for py in range(q)]
+
+
+def _block_term(a_blocks: list, b_blocks: list, ny: int, nx: int, dx: int, dy: int) -> float:
+    """Sum over chunks and whole overlap blocks of |block sum A - block sum shifted B|.
+
+    The blocks tile the overlap from its first cell; by the triangle
+    inequality over each block's cells, and since the cut blocks at the far
+    edges are dropped, this is at most the sum of _chunk_terms.
+    """
+    q = _BLOCK
+    ay, ax = max(0, -dy), max(0, -dx)
+    by, bx = ay + dy, ax + dx
+    ry, rx = (ny - abs(dy)) // q, (nx - abs(dx)) // q
+    a = a_blocks[ay % q][ax % q][:, ay // q : ay // q + ry, ax // q : ax // q + rx]
+    b = b_blocks[by % q][bx % q][:, by // q : by // q + ry, bx // q : bx // q + rx]
+    diff = a - b
+    return float(np.abs(diff, out=diff).sum())
+
+
+def _partial_rejects(a_stack, b_stack, dx, dy, terms, limit_sum, counts) -> bool:
+    """Partial distortion elimination (Bei & Gray, IEEE Trans. Commun. 1985).
+
+    Adds the exact SAD chunk by chunk and reports whether the exact part
+    plus the chunk terms of the chunks still to come exceeds limit_sum.
+    The last chunk is never summed here: a candidate that gets that far
+    gets its value from _sad_sums, whose rounding the chunked sum does not
+    share.
+    """
+    _, ny, nx = a_stack.shape
+    sa, sb = _overlap_slices(nx, ny, dx, dy)
+    a, b = a_stack[(slice(None),) + sa], b_stack[(slice(None),) + sb]
+    rest = np.cumsum(terms[::-1])[::-1]  # rest[k]: chunk terms of chunks k, k + 1, ...
+    exact = 0.0
+    for k in range(1, len(terms)):
+        p = slice((k - 1) * _CHUNK_PAIRS, k * _CHUNK_PAIRS)
+        diff = a[p] - b[p]
+        exact += np.abs(diff, out=diff).sum(dtype=np.float64)
+        counts["partial_chunks"] += 1
+        if exact + rest[k] > limit_sum:
+            return True
+    return False
+
+
 def search_cmv(
     grids: list,
     timestep_s: int,
     dmin: float,
     v_cap: float = V_CAP_MPS,
     min_overlap_frac: float = MIN_OVERLAP_FRACTION,
+    stats: Optional[dict] = None,
 ) -> CmvEstimate:
     """estimate_cmv(accumulate_cmae(...)), bit for bit, by successive elimination.
 
     Every candidate gets the all-pairs bound of _bounds.  Candidates are
     taken in increasing order of it, and the search stops once it is above
-    the third-best exact CMAE.  A candidate below that limit must also pass
-    the tighter per-chunk bound before it gets its exact CMAE from the same
-    kernel accumulate_cmae uses.  Every candidate that could enter the top
-    three, ties included, is therefore evaluated, and n_candidates still
-    counts the whole admissible set.
+    the third-best exact CMAE.  With more than one chunk of _CHUNK_PAIRS
+    pairs, a candidate below that limit must then pass three more tests,
+    each tighter and dearer than the last: the block bound of _block_term,
+    the chunk bound of _chunk_terms, and partial distortion, which swaps
+    chunk terms for exact chunk SADs one chunk at a time.  A candidate that
+    passes all of them gets its exact CMAE from the same kernel
+    accumulate_cmae uses.  Every candidate that could enter the top three,
+    ties included, is therefore evaluated, and n_candidates still counts
+    the whole admissible set.
+
+    If stats is a dict, it receives the search's counters: candidates,
+    bounds computed and candidates rejected at each level, chunks summed by
+    partial distortion and full exact SADs (the keys of _STATS_KEYS).
     """
     a_stack, b_stack, cands, n_cells = _search_space(
         grids, timestep_s, dmin, v_cap, min_overlap_frac
     )
+    _, ny, nx = a_stack.shape
     a_chunks, b_chunks = _chunk_sums(a_stack), _chunk_sums(b_stack)
     bound = _bounds(a_chunks.sum(axis=0)[None], b_chunks.sum(axis=0)[None], cands, n_cells)
-    two_level = a_chunks.shape[0] > 1
+    multi_chunk = a_chunks.shape[0] > 1
+    blocks = None  # built when the first candidate reaches the block test
+    counts = dict.fromkeys(_STATS_KEYS, 0)
 
     evaluated, values = [], []
     best = []  # the three lowest exact CMAEs so far, ascending
     for i in np.argsort(bound, kind="stable"):
-        one = slice(i, i + 1)
+        dx, dy, n = int(cands[i, 0]), int(cands[i, 1]), n_cells[i]
         if len(best) == 3:
             limit = best[2] * (1.0 + _PRUNE_MARGIN)
             if bound[i] > limit:
                 break
-            if two_level and _bounds(a_chunks, b_chunks, cands[one], n_cells[one])[0] > limit:
-                continue
-        value = float(_sad_sums(a_stack, b_stack, cands[one])[0] / n_cells[i])
+            if multi_chunk:
+                if blocks is None:
+                    blocks = _block_sums(a_chunks), _block_sums(b_chunks)
+                counts["bounds_block"] += 1
+                if _block_term(*blocks, ny, nx, dx, dy) / n > limit:
+                    counts["rejected_block"] += 1
+                    continue
+                counts["bounds_chunk"] += 1
+                terms = _chunk_terms(a_chunks, b_chunks, dx, dy)
+                if terms.sum() / n > limit:
+                    counts["rejected_chunk"] += 1
+                    continue
+                if _partial_rejects(a_stack, b_stack, dx, dy, terms, limit * n, counts):
+                    counts["rejected_partial"] += 1
+                    continue
+        counts["full_sads"] += 1
+        value = float(_sad_sums(a_stack, b_stack, cands[i : i + 1])[0] / n)
         evaluated.append(i)
         values.append(value)
         best = sorted(best + [value])[:3]
+    if stats is not None:
+        counts["candidates"] = counts["bounds_all_pairs"] = cands.shape[0]
+        counts["rejected_all_pairs"] = cands.shape[0] - sum(
+            counts[k] for k in ("rejected_block", "rejected_chunk", "rejected_partial", "full_sads")
+        )
+        stats.update(counts)
     partial = CmaeSurface(cands[evaluated], np.array(values), pair_count=a_stack.shape[0])
     return replace(estimate_cmv(partial, timestep_s, dmin), n_candidates=cands.shape[0])
 
@@ -304,11 +415,3 @@ def invalid_estimate() -> CmvEstimate:
     return CmvEstimate(
         speed=float("nan"), direction_deg=float("nan"), valid=False, top3=(), n_candidates=0
     )
-
-
-def cmae_to_csv(surface: CmaeSurface, path) -> None:
-    """Debug dump of the search surface: dx,dy,cmae lines."""
-    lines = ["dx,dy,cmae"]
-    for (dx, dy), c in zip(surface.displacements, surface.cmae):
-        lines.append(f"{dx},{dy},{c:.9f}")
-    Path(path).write_text("\n".join(lines) + "\n")

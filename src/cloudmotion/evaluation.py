@@ -181,10 +181,15 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(cfg, ds_by_pr)
         ) as pool:
-            per_sim = list(pool.map(_simulate_one, sims, chunksize=max(1, cfg.n_simulations // jobs)))
+            # one simulation per task: simulation times differ between
+            # truth draws, so fixed shares can leave a worker idle
+            per_sim = list(pool.map(_simulate_one, sims, chunksize=1))
     else:
         _init_worker(cfg, ds_by_pr)
-        per_sim = [_simulate_one(i) for i in sims]
+        try:
+            per_sim = [_simulate_one(i) for i in sims]
+        finally:
+            _STATE.clear()  # the caller's process must not keep the campaign alive
 
     cells = {}
     for dmin in cfg.dmin_list:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -110,13 +109,3 @@ def idw_interpolate(snapshot: SensorSnapshot, spec: GridSpec, k_neighbors: int =
 def grid_series(series: MeasurementSeries, spec: GridSpec, k_neighbors: int = 3) -> list:
     """One GridSnapshot per snapshot, invalid ones kept in place."""
     return [idw_interpolate(s, spec, k_neighbors) for s in series.snapshots]
-
-
-def grid_to_csv(snapshot: GridSnapshot, path) -> None:
-    """Debug dump: row,col,kstar lines."""
-    lines = ["row,col,kstar"]
-    ny, nx = snapshot.values.shape
-    for iy in range(ny):
-        for ix in range(nx):
-            lines.append(f"{iy},{ix},{snapshot.values[iy, ix]:.6f}")
-    Path(path).write_text("\n".join(lines) + "\n")

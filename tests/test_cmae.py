@@ -305,8 +305,11 @@ def test_pruned_search_chunk_boundaries(n_pairs):
 )
 @settings(max_examples=60, deadline=None)
 def test_bounds_are_sound_and_nested(seed, ny, nx, n_snaps, levels, invalid):
-    # all-pairs bound <= chunk bound <= exact CMAE, up to rounding, for
-    # every candidate
+    # all-pairs bound <= chunk bound, block bound <= chunk bound, and chunk
+    # bound <= exact CMAE, up to rounding, for every candidate.  All-pairs
+    # and block bounds are not ordered: with one chunk the block bound is
+    # the all-pairs bound with the cells of each block pooled, so it is
+    # the lower one; with many chunks it is often the higher one.
     grids = _random_grids(seed, ny, nx, n_snaps, levels, invalid)
     try:
         a_stack, b_stack, cands, n_cells = cmae_mod._search_space(grids, 10, 10.0, 40.0, 0.1)
@@ -316,9 +319,75 @@ def test_bounds_are_sound_and_nested(seed, ny, nx, n_snaps, levels, invalid):
     a_all, b_all = a_chunks.sum(axis=0)[None], b_chunks.sum(axis=0)[None]
     all_pairs = cmae_mod._bounds(a_all, b_all, cands, n_cells)
     chunked = cmae_mod._bounds(a_chunks, b_chunks, cands, n_cells)
+    blocks = cmae_mod._block_sums(a_chunks), cmae_mod._block_sums(b_chunks)
+    block = np.array(
+        [cmae_mod._block_term(*blocks, ny, nx, int(dx), int(dy)) for dx, dy in cands]
+    ) / n_cells
     exact = cmae_mod._sad_sums(a_stack, b_stack, cands) / n_cells
     assert np.all(all_pairs <= chunked * (1.0 + 1e-12))
+    assert np.all(block <= chunked * (1.0 + 1e-12))
     assert np.all(chunked <= exact * (1.0 + cmae_mod._PRUNE_MARGIN))
+
+
+def _block_term_reference(a_chunks, b_chunks, dx, dy, q):
+    """Block bound sum, one block at a time from the chunk sums."""
+    _, ny, nx = a_chunks.shape
+    ay0, ay1 = max(0, -dy), ny - max(0, dy)
+    ax0, ax1 = max(0, -dx), nx - max(0, dx)
+    total = 0.0
+    for y in range(ay0, ay1 - q + 1, q):
+        for x in range(ax0, ax1 - q + 1, q):
+            a = a_chunks[:, y : y + q, x : x + q].sum(axis=(1, 2))
+            b = b_chunks[:, y + dy : y + dy + q, x + dx : x + dx + q].sum(axis=(1, 2))
+            total += np.abs(a - b).sum()
+    return total
+
+
+@pytest.mark.parametrize("ny, nx", [(10, 11), (13, 8), (4, 7)])
+def test_block_bound_parities(ny, nx):
+    # sides that are not multiples of the block: every (dx, dy) parity reads
+    # its own pooled array, and the overlap's last partial blocks are dropped.
+    # Quarter-integer values keep every sum exact, so equality is exact.
+    q = cmae_mod._BLOCK
+    grids = _random_grids(41 + ny, ny, nx, 20, levels=4)
+    a_stack, b_stack, _, _ = cmae_mod._search_space(grids, 10, 10.0, 40.0, 0.1)
+    a_chunks, b_chunks = cmae_mod._chunk_sums(a_stack), cmae_mod._chunk_sums(b_stack)
+    blocks = cmae_mod._block_sums(a_chunks), cmae_mod._block_sums(b_chunks)
+    shifts = range(-(q + 2), q + 3)
+    for dx in shifts:
+        for dy in shifts:
+            if abs(dx) >= nx or abs(dy) >= ny:
+                continue
+            got = cmae_mod._block_term(*blocks, ny, nx, dx, dy)
+            assert got == _block_term_reference(a_chunks, b_chunks, dx, dy, q), (dx, dy)
+    _assert_pruned_matches_exhaustive(grids, 10, 10.0, 40.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pruned_search_values_exact_on_wide_range(monkeypatch, seed):
+    # values over twelve decades: float64 sums of their float32 differences
+    # round differently when split into chunks, so a survivor of partial
+    # distortion whose value came from its chunked sums would differ from
+    # accumulate_cmae's in the last bits
+    rng = np.random.default_rng(seed)
+    grids = [_grid(10 ** rng.uniform(-6, 6, (10, 12)), t=10 * k) for k in range(30)]
+    surface = accumulate_cmae(grids, 10, 10.0, v_cap=40.0)
+    exact = {(int(dx), int(dy)): v for (dx, dy), v in zip(surface.displacements, surface.cmae)}
+    partial = []
+
+    def capture(surface, *args):
+        partial.append(surface)
+        return estimate_cmv(surface, *args)
+
+    stats = {}
+    with monkeypatch.context() as m:
+        m.setattr(cmae_mod, "estimate_cmv", capture)
+        est = search_cmv(grids, 10, 10.0, v_cap=40.0, stats=stats)
+    assert est == estimate_cmv(surface, 10, 10.0)
+    assert stats["rejected_partial"] > 0 and stats["full_sads"] > 3
+    (evaluated,) = partial
+    for (dx, dy), value in zip(evaluated.displacements, evaluated.cmae):
+        assert value == exact[(int(dx), int(dy))]
 
 
 def test_pruned_search_translation_zero_cmae():
@@ -340,7 +409,7 @@ def _smooth_translation_grids(n_snaps, side, x0, dx=3, dy=-2):
     return [GridSnapshot(t=10 * k, values=w.copy(), valid=True) for k, w in enumerate(windows)]
 
 
-def _counted_search(monkeypatch, grids):
+def _counted_search(monkeypatch, grids, stats=None):
     """search_cmv's estimate and the number of exact SADs it computed."""
     evaluated = []
     sad_sums = cmae_mod._sad_sums
@@ -351,7 +420,7 @@ def _counted_search(monkeypatch, grids):
 
     with monkeypatch.context() as m:
         m.setattr(cmae_mod, "_sad_sums", counting)
-        est = search_cmv(grids, 10, 5.0, v_cap=20.0)
+        est = search_cmv(grids, 10, 5.0, v_cap=20.0, stats=stats)
     return est, sum(evaluated)
 
 
@@ -368,7 +437,7 @@ def test_pruned_search_skips_most_candidates_on_smooth_field(monkeypatch):
 def test_chunk_bounds_prune_more_on_long_smooth_series(monkeypatch):
     # 17 pairs: two full chunks and a 1-pair tail. The moving pattern blurs
     # the all-pairs sums (479 exact SADs with that level alone); the chunk
-    # sums keep it sharp (80)
+    # sums keep it sharp (80 with the chunk bound, 5 with partial distortion)
     n_snaps = 18
     grids = _smooth_translation_grids(n_snaps, 120, 60)
     est, two_level = _counted_search(monkeypatch, grids)
@@ -380,6 +449,39 @@ def test_chunk_bounds_prune_more_on_long_smooth_series(monkeypatch):
     assert two_level < one_level
     exhaustive = estimate_cmv(accumulate_cmae(grids, 10, 5.0, v_cap=20.0), 10, 5.0)
     assert est == one_level_est == exhaustive
+
+
+def test_partial_distortion_cuts_full_sads_on_long_smooth_series(monkeypatch):
+    # the 17-pair series above: 80 full SADs without partial distortion,
+    # 5 with it; a rejection may use the chunked sums, a survivor may not
+    grids = _smooth_translation_grids(18, 120, 60)
+    stats = {}
+    est, full = _counted_search(monkeypatch, grids, stats)
+    with monkeypatch.context() as m:
+        m.setattr(cmae_mod, "_partial_rejects", lambda *args: False)
+        no_partial_est, no_partial = _counted_search(monkeypatch, grids)
+    assert full < no_partial // 4
+    assert stats["rejected_partial"] > 0 and stats["partial_chunks"] > 0
+    exhaustive = estimate_cmv(accumulate_cmae(grids, 10, 5.0, v_cap=20.0), 10, 5.0)
+    assert est == no_partial_est == exhaustive
+
+
+@pytest.mark.parametrize("n_snaps", [5, 18])
+def test_search_stats(monkeypatch, n_snaps):
+    grids = _smooth_translation_grids(n_snaps, 120, 60)
+    stats = {}
+    est, full = _counted_search(monkeypatch, grids, stats)
+    assert est == search_cmv(grids, 10, 5.0, v_cap=20.0)
+    assert list(stats) == list(cmae_mod._STATS_KEYS)
+    assert stats["full_sads"] == full
+    assert stats["candidates"] == stats["bounds_all_pairs"] == est.n_candidates
+    rejected = [stats[k] for k in ("rejected_all_pairs", "rejected_block", "rejected_chunk",
+                                   "rejected_partial")]
+    assert sum(rejected) + full == est.n_candidates
+    assert stats["bounds_chunk"] == stats["bounds_block"] - stats["rejected_block"]
+    assert stats["rejected_partial"] <= stats["bounds_chunk"] - stats["rejected_chunk"]
+    if n_snaps == 5:  # one chunk: the all-pairs level alone
+        assert stats["bounds_block"] == stats["bounds_chunk"] == stats["partial_chunks"] == 0
 
 
 def test_pruned_search_constant_grids_all_tie():
@@ -529,16 +631,6 @@ def test_mirror_symmetry_negates_east_component():
     vnm = em.speed * math.cos(math.radians(em.direction_deg))
     assert vem == pytest.approx(-ve, rel=1e-9, abs=1e-9)
     assert vnm == pytest.approx(vn, rel=1e-9, abs=1e-9)
-
-
-def test_cmae_csv_dump(tmp_path):
-    grids = translation_grids(seed=9, ny=10, nx=10, dx=1, dy=0, n_snaps=2, spacing_s=10)
-    surface = accumulate_cmae(grids, 10, 10.0, v_cap=10.0)
-    path = tmp_path / "surface.csv"
-    cmae_mod.cmae_to_csv(surface, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "dx,dy,cmae"
-    assert len(lines) == 1 + len(surface.cmae)
 
 
 @given(seed=st.integers(0, 500))

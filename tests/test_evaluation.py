@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cloudmotion.evaluation as evaluation
 from cloudmotion.evaluation import (
     CampaignConfig,
     UndefinedStatisticError,
@@ -126,6 +127,22 @@ def test_campaign_deterministic_and_jobs_invariant():
     for key in r1.cells:
         assert r1.cells[key] == r2.cells[key]
         assert r1.cells[key] == r3.cells[key]
+
+
+def test_serial_campaign_releases_its_state(monkeypatch):
+    # jobs=1 runs in the caller's process: the field and datasets must not
+    # stay referenced once the campaign returns or fails
+    cfg = _small_config(n_simulations=1)
+    run_campaign(cfg, jobs=1)
+    assert evaluation._STATE == {}
+
+    def failing(sim_index):
+        raise RuntimeError("simulation failed")
+
+    monkeypatch.setattr(evaluation, "_simulate_one", failing)
+    with pytest.raises(RuntimeError):
+        run_campaign(cfg, jobs=1)
+    assert evaluation._STATE == {}
 
 
 def test_campaign_paired_truth_draws_across_cells():

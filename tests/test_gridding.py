@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import cloudmotion.gridding as gridding
 from cloudmotion.fleet import SensorSnapshot
 from cloudmotion.geometry import Rect
 from cloudmotion.gridding import GridSpec, grid_series, idw_interpolate
@@ -203,15 +202,3 @@ def test_grid_series_all_empty_all_invalid():
     spec = GridSpec(Rect(0.0, 0.0, 50.0, 50.0), 10.0)
     grids = grid_series(_series([_snap([], t=t) for t in range(3)]), spec, 3)
     assert all(not g.valid for g in grids)
-
-
-def test_grid_csv_dump(tmp_path):
-    spec = GridSpec(Rect(0.0, 0.0, 20.0, 10.0), 10.0)
-    snap = _snap([(0.0, 0.0, 0.5), (10.0, 10.0, 0.6), (20.0, 0.0, 0.7)])
-    grid = idw_interpolate(snap, spec, 3)
-    path = tmp_path / "grid.csv"
-    gridding.grid_to_csv(grid, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row,col,kstar"
-    assert len(lines) == 1 + spec.nx * spec.ny
-    assert lines[1].startswith("0,0,")
