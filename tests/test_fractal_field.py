@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,3 +243,69 @@ def test_clearsky_field_wraps_cloud_index():
     field = clearsky_field(cloud)
     assert field.kstar.shape == (16, 16)
     assert field.pixel_size_m == cloud.pixel_size_m
+
+
+# Digests of make_clearsky_field(side, 1.5, seed, pixel_size_m=2.0).kstar,
+# recorded from the whole-raster pipeline before it ran in row blocks.
+# 129 and 1025 end in a partial block of rows, 256 and 2048 in full ones.
+PIPELINE_DIGESTS = {
+    (129, 3, True): "0dd434d0ecfab5deee23a6844be405515f66955f95692a9cf341fadd1b8ed2a6",
+    (129, 3, False): "b9f96274567ba2af7c9490efb070ed2cd8c5ca132f08baada73b726713da7d62",
+    (256, 11, True): "48ef0a9f6fd44e5b347a6a5f6a332c1f3b2cd0e82ab00230fa23b5507cc9b2c7",
+    (256, 11, False): "39cff1f63a75c2360fccaed0468257f2b4852e1a5c8540da30c1b9fe505209bf",
+    (1025, 5, True): "102fd4cda61b3a8db5c2541e3e21df458797257c4ce7c985b13ade1296839282",
+    (1025, 5, False): "461b1f35b4a64fddf06c705508d72f1e5abcb8e8f6b04122571c68709d18acad",
+    (2048, 42, True): "436d09bdca32d17f76b180920acea39babf36c665b60492895a45fbcef6c240c",
+    (2048, 42, False): "3f7421315b94872bcb51772ec22213bcda88797e7914ff57ba962001fbe24d41",
+}
+
+
+@pytest.mark.parametrize("side,seed,quantize", sorted(PIPELINE_DIGESTS))
+def test_pipeline_digest_pinned(side, seed, quantize):
+    field = make_clearsky_field(side, 1.5, seed, pixel_size_m=2.0, quantize=quantize)
+    assert field.kstar.dtype == np.float32 and field.kstar.shape == (side, side)
+    digest = hashlib.sha256(field.kstar.tobytes()).hexdigest()
+    assert digest == PIPELINE_DIGESTS[side, seed, quantize]
+
+
+@pytest.mark.parametrize("side", [129, 257])
+@pytest.mark.parametrize("halfwidth", [0.05, 0.15])
+def test_pipeline_equals_public_steps(side, halfwidth):
+    surf = generate_fractal(side, 1.5, seed=side)
+    cloud = to_cloud_index(surf, halfwidth, pixel_size_m=3.0)
+    raw = clearsky_field(cloud)
+    fused = make_clearsky_field(
+        side, 1.5, seed=side, transition_halfwidth=halfwidth, pixel_size_m=3.0
+    )
+    fused_raw = make_clearsky_field(
+        side, 1.5, seed=side, transition_halfwidth=halfwidth, pixel_size_m=3.0, quantize=False
+    )
+    assert np.array_equal(quantize_8bit(raw).kstar, fused.kstar)
+    assert np.array_equal(raw.kstar, fused_raw.kstar)
+    assert fused.pixel_size_m == 3.0 and fused.side_px == side
+    # each blocked step equals its expression on the whole raster
+    assert np.array_equal(raw.kstar, cloud_to_clearsky(cloud.n).astype(np.float32))
+    assert np.array_equal(quantize_8bit(raw).kstar, levels_to_kstar(kstar_to_levels(raw.kstar)))
+
+
+def test_pipeline_validation_order():
+    with pytest.raises(FieldSizeError):
+        make_clearsky_field(100, 1.5, seed=1, transition_halfwidth=0.0)
+    with pytest.raises(ValueError, match="fractal_dimension"):
+        make_clearsky_field(64, 2.5, seed=1, transition_halfwidth=0.0)
+    with pytest.raises(ValueError, match="transition_halfwidth"):
+        make_clearsky_field(64, 1.5, seed=1, transition_halfwidth=-1.0)
+
+
+def test_pipeline_peak_memory():
+    # float64 temporaries the size of the raster would take 2x its float32
+    # output each; row blocks keep the peak to the surface, the median's
+    # copy of it and the output, plus one block
+    side = 1024
+    tracemalloc.start()
+    try:
+        make_clearsky_field(side, 1.5, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * side * side * 4

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cloudmotion.fractal_field import make_clearsky_field
+from cloudmotion.fractal_field import kstar_to_levels, levels_to_kstar, make_clearsky_field
 from cloudmotion.rasters import (
     read_clearsky_pgm,
     read_pgm,
@@ -39,15 +39,20 @@ def test_pgm_rejects_wrong_magic(tmp_path):
 
 
 def test_clearsky_pgm_round_trip(tmp_path):
-    field = make_clearsky_field(32, 1.5, seed=4, pixel_size_m=2.5)
-    path = tmp_path / "field.pgm"
-    write_clearsky_pgm(field, path)
-    assert (tmp_path / "field.txt").read_text().strip() == "2.5"
-    back = read_clearsky_pgm(path)
-    # the pipeline quantizes by default, so the round trip is exact
-    assert np.array_equal(back.kstar, field.kstar)
-    assert back.pixel_size_m == 2.5
-    assert back.side_px == 32
+    # 257 rows end in a partial block of the row-blocked level conversion
+    for side in (32, 257):
+        field = make_clearsky_field(side, 1.5, seed=4, pixel_size_m=2.5)
+        path = tmp_path / f"field{side}.pgm"
+        write_clearsky_pgm(field, path)
+        assert (tmp_path / f"field{side}.txt").read_text().strip() == "2.5"
+        assert np.array_equal(read_pgm(path), kstar_to_levels(field.kstar))
+        back = read_clearsky_pgm(path)
+        # the pipeline quantizes by default, so the round trip is exact
+        assert np.array_equal(back.kstar, field.kstar)
+        assert back.kstar.dtype == np.float32
+        assert np.array_equal(back.kstar, levels_to_kstar(read_pgm(path)))
+        assert back.pixel_size_m == 2.5
+        assert back.side_px == side
 
 
 def test_clearsky_pgm_byte_identical_for_same_seed(tmp_path):
