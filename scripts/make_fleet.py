@@ -23,7 +23,7 @@ def main() -> None:
     bounds = Rect(*(float(p) for p in args.bounds.split(",")))
     ds = random_walk_fleet(args.vehicles, bounds, args.duration, seed=args.seed)
     write_trajectories_csv(ds, args.out)
-    print(f"wrote {len(ds.records)} records for {args.vehicles} vehicles to {args.out}")
+    print(f"wrote {len(ds.table)} records for {args.vehicles} vehicles to {args.out}")
 
 
 if __name__ == "__main__":

@@ -7,11 +7,9 @@ frame, x east and y north; directions are degrees clockwise from north
 from .cmae import (
     CmaeSurface,
     CmvEstimate,
-    Displacement,
     accumulate_cmae,
     displacement_candidates,
     estimate_cmv,
-    mae_for_displacement,
     search_cmv,
 )
 from .evaluation import (
@@ -59,7 +57,6 @@ __all__ = [
     "CloudIndexField",
     "CmaeSurface",
     "CmvEstimate",
-    "Displacement",
     "FractalSurface",
     "GridSnapshot",
     "GridSpec",
@@ -82,7 +79,6 @@ __all__ = [
     "is_valid_event",
     "load_shadow_mask",
     "load_trajectories",
-    "mae_for_displacement",
     "make_clearsky_field",
     "quantize_8bit",
     "required_field_side",

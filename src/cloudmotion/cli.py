@@ -275,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key = value config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel simulations")
+        if name == "campaign":
+            p.add_argument("--jobs", type=int, default=1, help="parallel simulations")
         p.set_defaults(fn=fn)
     return parser
 

@@ -51,24 +51,8 @@ _STATS_KEYS = (
 )
 
 
-class EmptyOverlapError(ValueError):
-    """Displacement leaves no overlapping cells; exclude it from the search."""
-
-
 class InsufficientPairsError(RuntimeError):
     """No valid snapshot pair to accumulate over."""
-
-
-@dataclass(frozen=True)
-class Displacement:
-    """Integer grid-cell shift per time step; world offset is (dx, dy) * dmin."""
-
-    dx: int
-    dy: int
-
-    @property
-    def cells(self) -> float:
-        return math.hypot(self.dx, self.dy)
 
 
 @dataclass(frozen=True)
@@ -128,18 +112,6 @@ def _overlap_slices(nx: int, ny: int, dx: int, dy: int) -> tuple:
     ax0, ax1 = max(0, -dx), nx - max(0, dx)
     ay0, ay1 = max(0, -dy), ny - max(0, dy)
     return (slice(ay0, ay1), slice(ax0, ax1)), (slice(ay0 + dy, ay1 + dy), slice(ax0 + dx, ax1 + dx))
-
-
-def mae_for_displacement(a: GridSnapshot, b: GridSnapshot, d: Displacement) -> float:
-    """Mean |a(cell) - b(cell + d)| over the N = (nx-|dx|)(ny-|dy|) overlap cells."""
-    if not (a.valid and b.valid):
-        raise ValueError("MAE needs two valid snapshots")
-    ny, nx = a.values.shape
-    if abs(d.dx) >= nx or abs(d.dy) >= ny:
-        raise EmptyOverlapError(f"displacement {d} leaves no overlap on a {ny}x{nx} grid")
-    sa, sb = _overlap_slices(nx, ny, d.dx, d.dy)
-    diff = a.values[sa] - b.values[sb]
-    return float(np.abs(diff).mean())
 
 
 def _search_space(grids, timestep_s, dmin, v_cap, min_overlap_frac) -> tuple:

@@ -53,50 +53,54 @@ class SensorSnapshot:
         object.__setattr__(self, "vehicle_ids", ids)
 
 
-@dataclass(frozen=True)
+def trajectory_table(vehicle_id, t, x, y) -> np.ndarray:
+    """The record format: a structured array of vehicle_id, t, x, y columns."""
+    ids = np.asarray(vehicle_id, dtype=str)
+    dtype = [("vehicle_id", ids.dtype), ("t", "i8"), ("x", "f8"), ("y", "f8")]
+    table = np.empty(len(ids), dtype=dtype)
+    table["vehicle_id"], table["t"], table["x"], table["y"] = ids, t, x, y
+    return table
+
+
+@dataclass(frozen=True, eq=False)
 class TrajectoryDataset:
     """Per-second vehicle positions over an observation window.
 
-    records are (vehicle_id, t, x, y) with t in seconds from window start,
-    sorted by (t, vehicle_id), at most one record per (vehicle_id, t).
-    Immutable after construction; safe to share across parallel simulations.
-    The records are also held as one structured array, sorted by time.
+    table is a trajectory_table with t in seconds from window start and at
+    most one record per (vehicle_id, t); construction sorts it by
+    (t, vehicle_id) and makes it read-only, so the dataset is safe to share
+    across parallel simulations.
     """
 
-    records: tuple
+    table: np.ndarray
     window: tuple
     bounds: Rect
-    _table: np.ndarray = field(init=False, repr=False, compare=False)
-    _by_t: dict = field(init=False, repr=False, compare=False)
+    _by_t: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         length = self.window[1] - self.window[0]
-        width = max((len(r[0]) for r in self.records), default=1)
-        table = np.array(
-            list(self.records),
-            dtype=[("vehicle_id", f"U{width}"), ("t", "i8"), ("x", "f8"), ("y", "f8")],
-        )
-        t = table["t"]
+        t = self.table["t"]
         outside = (t < 0) | (t > length)
         if outside.any():
             raise ValueError(f"record t={t[outside][0]} outside window of length {length}")
-        table = table[np.argsort(t, kind="stable")]
+        table = self.table[np.lexsort((self.table["vehicle_id"], t))]
+        table.flags.writeable = False
         times, starts = np.unique(table["t"], return_index=True)
         ends = np.append(starts[1:], len(table))
         by_t = {a: slice(b, c) for a, b, c in zip(times.tolist(), starts.tolist(), ends.tolist())}
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "table", table)
         object.__setattr__(self, "_by_t", by_t)
 
     @property
     def duration_s(self) -> int:
         return self.window[1] - self.window[0]
 
-    def unique_ids(self) -> tuple:
-        return tuple(sorted({r[0] for r in self.records}))
+    def unique_ids(self) -> np.ndarray:
+        return np.unique(self.table["vehicle_id"])
 
     def records_at(self, t: int) -> np.ndarray:
         """Records at t, id-sorted: a structured array of vehicle_id, t, x, y."""
-        return self._table[self._by_t.get(t, slice(0))]
+        return self.table[self._by_t.get(t, slice(0))]
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,7 @@ def load_trajectories(path, bounds: Rect, window: Optional[tuple] = None) -> Tra
     if not lines or lines[0].strip() != "t,vehicle_id,x,y":
         raise TrajectoryParseError(f"{path}: expected header 't,vehicle_id,x,y'")
 
-    raw = []
+    cols = ([], [], [], [])
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -162,30 +166,33 @@ def load_trajectories(path, bounds: Rect, window: Optional[tuple] = None) -> Tra
             raise TrajectoryParseError(f"{path}: line {lineno}: {exc}") from None
         if not vid:
             raise TrajectoryParseError(f"{path}: line {lineno}: empty vehicle_id")
-        if bounds.contains(x, y):
-            raw.append((vid, t, x, y))
+        if abs(t) >= 2**62:  # keeps t and t - window start inside int64
+            raise TrajectoryParseError(f"{path}: line {lineno}: time {t} out of range")
+        for col, value in zip(cols, (vid, t, x, y)):
+            col.append(value)
+    table = trajectory_table(*cols)
+    table = table[bounds.contains(table["x"], table["y"])]
 
     if window is None:
-        if not raw:
+        if not len(table):
             raise EmptyDatasetError(f"{path}: no records inside bounds")
-        window = (min(r[1] for r in raw), max(r[1] for r in raw))
+        window = (int(table["t"].min()), int(table["t"].max()))
 
     t_start, t_end = window
-    kept = []
-    seen = set()
-    for vid, t, x, y in raw:
-        if not t_start <= t <= t_end:
-            continue
-        key = (vid, t)
-        if key in seen:
-            raise TrajectoryParseError(f"{path}: duplicate record for {key}")
-        seen.add(key)
-        kept.append((vid, t - t_start, x, y))
-    if not kept:
+    table = table[(t_start <= table["t"]) & (table["t"] <= t_end)]
+    if not len(table):
         raise EmptyDatasetError(f"{path}: no records inside bounds and window")
-
-    kept.sort(key=lambda r: (r[1], r[0]))
-    return TrajectoryDataset(records=tuple(kept), window=window, bounds=bounds)
+    # duplicates sit next to each other in (vehicle_id, t) order; a stable
+    # sort keeps file order within them, so the first repeat in the file is named
+    order = np.lexsort((table["t"], table["vehicle_id"]))
+    ids, ts = table["vehicle_id"][order], table["t"][order]
+    repeats = order[1:][(ids[1:] == ids[:-1]) & (ts[1:] == ts[:-1])]
+    if len(repeats):
+        first = table[repeats.min()]
+        key = (str(first["vehicle_id"]), int(first["t"]))
+        raise TrajectoryParseError(f"{path}: duplicate record for {key}")
+    table["t"] -= t_start
+    return TrajectoryDataset(table, window, bounds)
 
 
 def subsample_by_penetration(ds: TrajectoryDataset, pr: float, seed: int) -> TrajectoryDataset:
@@ -202,9 +209,8 @@ def subsample_by_penetration(ds: TrajectoryDataset, pr: float, seed: int) -> Tra
     ids = ds.unique_ids()
     k = int(np.floor(pr * len(ids) + 0.5))
     order = np.random.default_rng(seed).permutation(len(ids))
-    chosen = {ids[i] for i in order[:k]}
-    records = tuple(r for r in ds.records if r[0] in chosen)
-    return TrajectoryDataset(records=records, window=ds.window, bounds=ds.bounds)
+    keep = np.isin(ds.table["vehicle_id"], ids[order[:k]])
+    return TrajectoryDataset(ds.table[keep], ds.window, ds.bounds)
 
 
 def active_sensor_records(

@@ -37,8 +37,9 @@ class Rect:
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1))
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
+    def contains(self, x, y):
+        """Whether (x, y) lies in the closed rectangle; elementwise for arrays."""
+        return (self.x0 <= x) & (x <= self.x1) & (self.y0 <= y) & (y <= self.y1)
 
     def central_ninth(self) -> "Rect":
         """Central rectangle of the 3x3 equal division of this rectangle."""

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fleet import TrajectoryDataset
+from .fleet import TrajectoryDataset, trajectory_table
 from .geometry import Rect
 
 
@@ -36,10 +36,11 @@ def random_walk_fleet(
     speed = rng.uniform(speed_range[0], speed_range[1], n_vehicles)
     turn_sigma = np.deg2rad(turn_sigma_deg)
 
-    records = []
-    for t in range(duration_s + 1):
-        for i in range(n_vehicles):
-            records.append((ids[i], t, float(x[i]), float(y[i])))
+    steps = duration_s + 1
+    xs, ys = [], []
+    for _ in range(steps):
+        xs.append(x)
+        ys.append(y)
         heading = heading + rng.normal(0.0, turn_sigma, n_vehicles)
         x = x + speed * np.sin(heading)
         y = y + speed * np.cos(heading)
@@ -60,14 +61,17 @@ def random_walk_fleet(
             # A huge step could still overshoot; clamp as a last resort.
             np.clip(arr, lo, hi, out=arr)
 
-    records.sort(key=lambda r: (r[1], r[0]))
-    return TrajectoryDataset(records=tuple(records), window=(0, duration_s), bounds=bounds)
+    table = trajectory_table(
+        np.tile(ids, steps), np.repeat(np.arange(steps), n_vehicles), np.ravel(xs), np.ravel(ys)
+    )
+    return TrajectoryDataset(table, (0, duration_s), bounds)
 
 
 def write_trajectories_csv(ds: TrajectoryDataset, path) -> None:
     """Write a dataset back to the t,vehicle_id,x,y interchange format."""
     lines = ["t,vehicle_id,x,y"]
-    t0 = ds.window[0]
-    for vid, t, x, y in ds.records:
-        lines.append(f"{t + t0},{vid},{x:.3f},{y:.3f}")
+    tab = ds.table
+    times = (tab["t"] + ds.window[0]).tolist()
+    rows = zip(times, tab["vehicle_id"].tolist(), tab["x"].tolist(), tab["y"].tolist())
+    lines += [f"{t},{vid},{x:.3f},{y:.3f}" for t, vid, x, y in rows]
     Path(path).write_text("\n".join(lines) + "\n")

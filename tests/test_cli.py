@@ -240,3 +240,11 @@ def test_export_mask_reduces_rows(tmp_path, fleet_csv):
     n_plain = len((out_plain / "series_000.csv").read_text().splitlines())
     n_mask = len((out_mask / "series_000.csv").read_text().splitlines())
     assert n_mask < n_plain
+
+
+@pytest.mark.parametrize("command", ["genfield", "export"])
+def test_jobs_rejected_outside_campaign(tmp_path, capsys, command):
+    # only campaign runs simulations in parallel; elsewhere --jobs is an error
+    with pytest.raises(SystemExit):
+        main([command, "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path), "--jobs", "2"])
+    assert "--jobs" in capsys.readouterr().err

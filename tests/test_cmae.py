@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -8,13 +9,10 @@ from hypothesis import strategies as st
 import cloudmotion.cmae as cmae_mod
 from cloudmotion.cmae import (
     CmaeSurface,
-    Displacement,
-    EmptyOverlapError,
     InsufficientPairsError,
     accumulate_cmae,
     displacement_candidates,
     estimate_cmv,
-    mae_for_displacement,
     search_cmv,
 )
 from cloudmotion.gridding import GridSnapshot
@@ -23,6 +21,31 @@ from helpers import translation_grids
 
 def _grid(values, t=0, valid=True):
     return GridSnapshot(t=t, values=np.asarray(values, dtype=np.float64), valid=valid)
+
+
+# ------------------------------------------------- per-pair MAE oracle
+
+class EmptyOverlapError(ValueError):
+    """Displacement leaves no overlapping cells."""
+
+
+class Displacement(NamedTuple):
+    """Integer grid-cell shift per time step."""
+
+    dx: int
+    dy: int
+
+
+def mae_for_displacement(a: GridSnapshot, b: GridSnapshot, d: Displacement) -> float:
+    """Mean |a(cell) - b(cell + d)| over the N = (nx-|dx|)(ny-|dy|) overlap cells."""
+    if not (a.valid and b.valid):
+        raise ValueError("MAE needs two valid snapshots")
+    ny, nx = a.values.shape
+    if abs(d.dx) >= nx or abs(d.dy) >= ny:
+        raise EmptyOverlapError(f"displacement {d} leaves no overlap on a {ny}x{nx} grid")
+    ys, xs = slice(max(0, -d.dy), ny - max(0, d.dy)), slice(max(0, -d.dx), nx - max(0, d.dx))
+    shifted = b.values[ys.start + d.dy : ys.stop + d.dy, xs.start + d.dx : xs.stop + d.dx]
+    return float(np.abs(a.values[ys, xs] - shifted).mean())
 
 
 # ---------------------------------------------------------- candidate set

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloudmotion.fleet import (
@@ -13,6 +13,7 @@ from cloudmotion.fleet import (
     load_shadow_mask,
     load_trajectories,
     subsample_by_penetration,
+    trajectory_table,
     write_shadow_mask,
 )
 from cloudmotion.geometry import Rect
@@ -27,12 +28,8 @@ def _write(tmp_path, text, name="traj.csv"):
 
 
 def _make_ds(n_ids=10, n_t=3):
-    recs = []
-    for t in range(n_t):
-        for i in range(n_ids):
-            recs.append((f"v{i:02d}", t, 5.0 + 9.0 * i, 50.0))
-    recs.sort(key=lambda r: (r[1], r[0]))
-    return TrajectoryDataset(records=tuple(recs), window=(0, n_t - 1), bounds=BOUNDS)
+    recs = [(f"v{i:02d}", t, 5.0 + 9.0 * i, 50.0) for t in range(n_t) for i in range(n_ids)]
+    return TrajectoryDataset(trajectory_table(*zip(*recs)), (0, n_t - 1), BOUNDS)
 
 
 # ---------------------------------------------------------------- ingestion
@@ -40,23 +37,23 @@ def _make_ds(n_ids=10, n_t=3):
 def test_load_minimal_file(tmp_path):
     path = _write(tmp_path, "t,vehicle_id,x,y\n0,a,1,2\n1,a,3,4\n2,a,5,6\n")
     ds = load_trajectories(path, BOUNDS)
-    assert len(ds.records) == 3
+    assert len(ds.table) == 3
     assert ds.window == (0, 2)
-    assert ds.records[0] == ("a", 0, 1.0, 2.0)
+    assert ds.table[0].tolist() == ("a", 0, 1.0, 2.0)
 
 
 def test_load_rebases_time_to_window_start(tmp_path):
     path = _write(tmp_path, "t,vehicle_id,x,y\n700,a,1,2\n701,a,3,4\n")
     ds = load_trajectories(path, BOUNDS)
     assert ds.window == (700, 701)
-    assert [r[1] for r in ds.records] == [0, 1]
+    assert ds.table["t"].tolist() == [0, 1]
 
 
 def test_load_filters_out_of_bounds(tmp_path):
     path = _write(tmp_path, "t,vehicle_id,x,y\n0,a,1,2\n0,b,500,2\n1,a,3,4\n")
     ds = load_trajectories(path, BOUNDS)
-    assert len(ds.records) == 2
-    assert all(r[0] == "a" for r in ds.records)
+    assert len(ds.table) == 2
+    assert (ds.table["vehicle_id"] == "a").all()
 
 
 def test_load_duplicate_key_is_parse_error(tmp_path):
@@ -68,6 +65,13 @@ def test_load_duplicate_key_is_parse_error(tmp_path):
 def test_load_reports_line_numbers(tmp_path):
     path = _write(tmp_path, "t,vehicle_id,x,y\n0,a,1,2\nnot-a-number,b,1,2\n")
     with pytest.raises(TrajectoryParseError, match="line 3"):
+        load_trajectories(path, BOUNDS)
+
+
+def test_load_rejects_time_out_of_range(tmp_path):
+    # an int64 overflow would escape as OverflowError, outside the CLI's exit codes
+    path = _write(tmp_path, "t,vehicle_id,x,y\n0,a,1,2\n99999999999999999999,b,500,2\n")
+    with pytest.raises(TrajectoryParseError, match="line 3: time .* out of range"):
         load_trajectories(path, BOUNDS)
 
 
@@ -86,31 +90,112 @@ def test_load_empty_is_error(tmp_path):
 def test_load_respects_explicit_window(tmp_path):
     path = _write(tmp_path, "t,vehicle_id,x,y\n0,a,1,2\n5,a,3,4\n9,a,5,6\n")
     ds = load_trajectories(path, BOUNDS, window=(5, 9))
-    assert [r[1] for r in ds.records] == [0, 4]
+    assert ds.table["t"].tolist() == [0, 4]
+
+
+def test_dataset_sorts_by_time_then_id():
+    recs = [("v2", 1, 0.0, 0.0), ("v10", 0, 1.0, 1.0), ("v1", 1, 2.0, 2.0), ("v2", 0, 3.0, 3.0)]
+    ds = TrajectoryDataset(trajectory_table(*zip(*recs)), (0, 1), BOUNDS)
+    assert ds.table[["vehicle_id", "t"]].tolist() == [("v10", 0), ("v2", 0), ("v1", 1), ("v2", 1)]
+    assert ds.records_at(1)["x"].tolist() == [2.0, 0.0]
+    assert not ds.table.flags.writeable
+
+
+def _reference_load(path, rows, bounds, window):
+    """The tuple algorithm: bounds, then window, rebase, duplicates, (t, id) sort."""
+    inside = [r for r in rows if bounds.x0 <= r[2] <= bounds.x1 and bounds.y0 <= r[3] <= bounds.y1]
+    raw = [(vid, t, x, y) for t, vid, x, y in inside]
+    if window is None:
+        if not raw:
+            raise EmptyDatasetError(f"{path}: no records inside bounds")
+        window = (min(r[1] for r in raw), max(r[1] for r in raw))
+    kept, seen = [], set()
+    for vid, t, x, y in raw:
+        if not window[0] <= t <= window[1]:
+            continue
+        if (vid, t) in seen:
+            raise TrajectoryParseError(f"{path}: duplicate record for {(vid, t)}")
+        seen.add((vid, t))
+        kept.append((vid, t - window[0], x, y))
+    if not kept:
+        raise EmptyDatasetError(f"{path}: no records inside bounds and window")
+    kept.sort(key=lambda r: (r[1], r[0]))
+    return kept, window
+
+
+_EDGES = (-0.5, 0.0, 0.25, 50.0, 100.0, 100.5)  # BOUNDS edges are 0 and 100
+_ROW = st.tuples(
+    st.sampled_from(["v1", "v10", "v2", "a"]),
+    st.integers(0, 9),
+    st.sampled_from(_EDGES),
+    st.sampled_from(_EDGES),
+)
+
+
+@given(
+    rows=st.lists(_ROW, max_size=30, unique_by=lambda r: r[:2]),
+    repeats=st.lists(_ROW, max_size=3),
+    window=st.none() | st.tuples(st.integers(0, 4), st.integers(4, 9)),
+    t0=st.sampled_from([0, 700]),
+    shuffle=st.integers(0, 2**32 - 1),
+)
+@example(  # a repeated key with one copy outside the bounds loads
+    rows=[("a", 0, 0.0, 0.0)], repeats=[("a", 0, 100.5, 50.0)], window=None, t0=0, shuffle=0
+)
+@example(  # a repeated key outside the window loads
+    rows=[("a", 0, 50.0, 50.0), ("a", 5, 100.0, 100.0)], repeats=[("a", 0, 50.0, 50.0)],
+    window=(3, 9), t0=700, shuffle=1,
+)
+@example(  # a repeated key inside both is named with the file's own time
+    rows=[("v1", 3, 50.0, 50.0)], repeats=[("v1", 3, 0.0, 100.0)], window=None, t0=700, shuffle=2
+)
+@example(  # of two repeated keys the one repeated first in the file is named
+    rows=[("a", 1, 50.0, 50.0), ("b", 2, 50.0, 50.0)],
+    repeats=[("a", 1, 0.0, 0.0), ("b", 2, 0.0, 0.0)], window=None, t0=0, shuffle=3,
+)
+@settings(max_examples=150, deadline=None)
+def test_load_matches_tuple_reference(tmp_path_factory, rows, repeats, window, t0, shuffle):
+    file_rows = [(t + t0, vid, x, y) for vid, t, x, y in rows + repeats]
+    file_rows = [file_rows[i] for i in np.random.default_rng(shuffle).permutation(len(file_rows))]
+    if window is not None:
+        window = (window[0] + t0, window[1] + t0)
+    path = tmp_path_factory.getbasetemp() / "reference.csv"
+    lines = [f"{t},{vid},{x!r},{y!r}\n" for t, vid, x, y in file_rows]
+    path.write_text("t,vehicle_id,x,y\n" + "".join(lines))
+    try:
+        kept, expected_window = _reference_load(path, file_rows, BOUNDS, window)
+    except (TrajectoryParseError, EmptyDatasetError) as exc:
+        with pytest.raises(type(exc)) as got:
+            load_trajectories(path, BOUNDS, window)
+        assert str(got.value) == str(exc)
+        return
+    ds = load_trajectories(path, BOUNDS, window)
+    assert ds.table.tolist() == kept
+    assert ds.window == expected_window
 
 
 # ------------------------------------------------------------- subsampling
 
 def test_subsample_identity_at_full_penetration():
     ds = _make_ds()
-    assert subsample_by_penetration(ds, 1.0, seed=0).records == ds.records
+    assert subsample_by_penetration(ds, 1.0, seed=0).table.tolist() == ds.table.tolist()
 
 
 def test_subsample_keeps_whole_vehicles():
     ds = _make_ds(n_ids=100, n_t=4)
     sub = subsample_by_penetration(ds, 0.5, seed=1)
-    kept = {r[0] for r in sub.records}
+    kept = set(sub.table["vehicle_id"].tolist())
     assert len(kept) == 50
     # every kept vehicle keeps all of its records
     for vid in kept:
-        assert sum(1 for r in sub.records if r[0] == vid) == 4
+        assert np.count_nonzero(sub.table["vehicle_id"] == vid) == 4
 
 
 def test_subsample_seeded_regression():
     # frozen draw: sorted ids v00..v09, seed 123, pr 0.4
     ds = _make_ds(n_ids=10)
     sub = subsample_by_penetration(ds, 0.4, seed=123)
-    assert sorted({r[0] for r in sub.records}) == ["v00", "v02", "v04", "v07"]
+    assert sorted(set(sub.table["vehicle_id"].tolist())) == ["v00", "v02", "v04", "v07"]
 
 
 def test_subsample_rejects_bad_rate():
@@ -126,7 +211,7 @@ def test_subsample_nested_across_rates(seed):
     ds = _make_ds(n_ids=20)
     previous: set = set()
     for pr in (0.2, 0.5, 0.8, 1.0):
-        ids = {r[0] for r in subsample_by_penetration(ds, pr, seed=seed).records}
+        ids = set(subsample_by_penetration(ds, pr, seed=seed).table["vehicle_id"].tolist())
         assert previous <= ids
         previous = ids
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cloudmotion.fleet import SensorSnapshot, TrajectoryDataset
+from cloudmotion.fleet import SensorSnapshot, TrajectoryDataset, trajectory_table
 from cloudmotion.fractal_field import ClearSkyField
 from cloudmotion.geometry import Rect
 from cloudmotion.transit import (
@@ -36,13 +36,16 @@ def _flat_field(value=1.2, side=2048, pixel=8.0):
     )
 
 
+def _fleet(recs, duration_s):
+    """A dataset from (vehicle_id, t, x, y) rows in any order."""
+    return TrajectoryDataset(trajectory_table(*zip(*recs)), (0, duration_s), BOUNDS)
+
+
 def _static_fleet(positions, duration_s):
-    recs = []
-    for t in range(duration_s + 1):
-        for i, (x, y) in enumerate(positions):
-            recs.append((f"v{i:03d}", t, x, y))
-    recs.sort(key=lambda r: (r[1], r[0]))
-    return TrajectoryDataset(records=tuple(recs), window=(0, duration_s), bounds=BOUNDS)
+    recs = [
+        (f"v{i:03d}", t, x, y) for t in range(duration_s + 1) for i, (x, y) in enumerate(positions)
+    ]
+    return _fleet(recs, duration_s)
 
 
 # ------------------------------------------------------------ motion truth
@@ -194,8 +197,7 @@ def test_transit_requires_dataset_coverage():
 
 def test_transit_empty_instant_gives_empty_snapshot():
     field = _flat_field()
-    recs = tuple(("v0", t, 300.0, 450.0) for t in (0, 2))  # nothing at t=1
-    ds = TrajectoryDataset(records=recs, window=(0, 2), bounds=BOUNDS)
+    ds = _fleet([("v0", t, 300.0, 450.0) for t in (0, 2)], 2)  # nothing at t=1
     series = run_transit(field, ds, None, MotionTruth(2.0, 0.0), TransitConfig(2, 1))
     assert len(series.snapshots[1].sensors) == 0
 
@@ -282,13 +284,11 @@ def test_new_vehicle_modal_rule():
     for t in range(151):
         recs.append((f"a{t:03d}", t, 290.0, 450.0))
         recs.append((f"b{t:03d}", t, 310.0, 450.0))
-    ds = TrajectoryDataset(records=tuple(sorted(recs, key=lambda r: (r[1], r[0]))),
-                           window=(0, 150), bounds=BOUNDS)
+    ds = _fleet(recs, 150)
     series = run_transit(field, ds, None, truth, TransitConfig(150, 1, field_anchor=(0.0, 0.0)))
     assert is_valid_event(series, BOUNDS, 60)
     # same-side fresh ids agree with the mode: nothing ever qualifies
-    recs2 = tuple((f"c{t:03d}", t, 290.0, 450.0) for t in range(151))
-    ds2 = TrajectoryDataset(records=recs2, window=(0, 150), bounds=BOUNDS)
+    ds2 = _fleet([(f"c{t:03d}", t, 290.0, 450.0) for t in range(151)], 150)
     series2 = run_transit(field, ds2, None, truth, TransitConfig(150, 1, field_anchor=(0.0, 0.0)))
     assert not is_valid_event(series2, BOUNDS, 60)
 
