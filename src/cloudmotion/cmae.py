@@ -137,8 +137,9 @@ def _search_space(grids, timestep_s, dmin, v_cap, min_overlap_frac) -> tuple:
         raise InsufficientPairsError("every candidate pair touches an invalid snapshot")
 
     ny, nx = grids[pair_idx[0]].values.shape
-    a_stack = np.stack([grids[i].values for i in pair_idx]).astype(np.float32)
-    b_stack = np.stack([grids[i + step].values for i in pair_idx]).astype(np.float32)
+    # cast while stacking: no float64 copy of the stacks
+    a_stack = np.stack([grids[i].values for i in pair_idx], dtype=np.float32)
+    b_stack = np.stack([grids[i + step].values for i in pair_idx], dtype=np.float32)
 
     cands = displacement_candidates(nx, ny, dmin, timestep_s, v_cap, min_overlap_frac)
     if cands.shape[0] == 0:

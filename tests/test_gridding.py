@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cloudmotion.fleet import SensorSnapshot
+from cloudmotion.fleet import SensorSnapshot, subsample_by_penetration
+from cloudmotion.fractal_field import auto_pixel_size, make_clearsky_field, required_field_side
 from cloudmotion.geometry import Rect
-from cloudmotion.gridding import GridSpec, grid_series, idw_interpolate
-from cloudmotion.transit import MeasurementSeries, MotionTruth
+from cloudmotion.gridding import _TILE, GridSpec, grid_series, idw_interpolate
+from cloudmotion.synth import random_walk_fleet
+from cloudmotion.transit import MeasurementSeries, MotionTruth, TransitConfig, draw_truth, run_transit
 
 
 def _snap(sensors, t=0):
@@ -202,3 +206,104 @@ def test_grid_series_all_empty_all_invalid():
     spec = GridSpec(Rect(0.0, 0.0, 50.0, 50.0), 10.0)
     grids = grid_series(_series([_snap([], t=t) for t in range(3)]), spec, 3)
     assert all(not g.valid for g in grids)
+
+
+# ------------------------------------------- grid_series against the reference
+
+def _assert_matches_reference(series, spec, k):
+    grids = grid_series(series, spec, k)
+    assert len(grids) == len(series.snapshots)
+    for grid, snap in zip(grids, series.snapshots):
+        ref = idw_interpolate(snap, spec, k)
+        assert (grid.t, grid.valid) == (ref.t, ref.valid)
+        assert np.array_equal(grid.values, ref.values, equal_nan=True)
+
+
+@st.composite
+def _tiled_series_case(draw):
+    """A few snapshots on a lattice of several tiles, the last tile on each
+    axis partial.  Integer-metre sensors make distance ties common; some sit
+    on grid points, share a position or lie outside the bounds, one snapshot
+    may hold a dense cluster (a tile with many candidates), and snapshot
+    sizes run from below k through exactly k upward."""
+    k = draw(st.integers(1, 4))
+    dmin = draw(st.sampled_from([1.0, 2.0, 5.0]))
+    partial = st.integers(_TILE + 1, 3 * _TILE - 1).filter(lambda v: v % _TILE)
+    nx, ny = draw(partial), draw(partial)
+    spec = GridSpec(Rect(0.0, 0.0, (nx - 1) * dmin, (ny - 1) * dmin), dmin)
+    w, h = int(spec.bounds.width), int(spec.bounds.height)
+    value = st.floats(0.09, 1.2)
+    snapshots = []
+    for t in range(draw(st.integers(1, 4))):
+        n = draw(st.sampled_from([k - 1, k, k + 1, k + 5, k + 20]))
+        xy = st.tuples(st.integers(-3, w + 3), st.integers(-3, h + 3))
+        sensors = [(float(x), float(y), z)
+                   for (x, y), z in draw(st.lists(st.tuples(xy, value), min_size=n, max_size=n))]
+        if sensors and draw(st.booleans()):  # same position, its own value
+            x, y, _ = draw(st.sampled_from(sensors))
+            sensors.append((x, y, draw(value)))
+        if draw(st.booleans()):  # exactly on a grid point
+            ix, iy = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
+            sensors.append((ix * dmin, iy * dmin, draw(value)))
+        if draw(st.booleans()):  # dense cluster inside one tile
+            cx, cy = draw(st.integers(0, w)), draw(st.integers(0, h))
+            offset = st.floats(0.0, 2.0 * dmin)
+            sensors += [(cx + draw(offset), cy + draw(offset), draw(value))
+                        for _ in range(draw(st.integers(10, 40)))]
+        snapshots.append(_snap(sensors, t=t))
+    return _series(snapshots), spec, k
+
+
+@given(_tiled_series_case())
+# k = 1 with two sensors at one position: the first in canonical order wins
+@example((_series([_snap([(3.5, 4.5, 0.2), (3.5, 4.5, 0.9), (30.0, 1.0, 0.5)])]),
+          GridSpec(Rect(0.0, 0.0, 40.0, 40.0), 5.0), 1))
+@settings(max_examples=150, deadline=None)
+def test_grid_series_matches_idw_interpolate(case):
+    _assert_matches_reference(*case)
+
+
+def test_grid_series_more_than_255_candidates():
+    # 300 sensors on one spot are all candidates of every tile, so the
+    # candidate ranks need more than 8 bits; ties go to input order
+    rng = np.random.default_rng(5)
+    sensors = [(12.5, 7.5, z) for z in rng.uniform(0.09, 1.2, 300)] + [(40.0, 40.0, 0.3)]
+    spec = GridSpec(Rect(0.0, 0.0, 60.0, 60.0), 5.0)
+    _assert_matches_reference(_series([_snap(sensors)]), spec, 3)
+
+
+@pytest.fixture(scope="module")
+def desk_series():
+    """Criterion-3 transits of the first truth draw at pr 0.1 and 1.0."""
+    bounds = Rect(0.0, 0.0, 600.0, 900.0)
+    pixel = auto_pixel_size(2048, required_field_side(300, 30.0, bounds.diagonal))
+    field = make_clearsky_field(2048, 1.5, seed=7, pixel_size_m=pixel)
+    fleet = random_walk_fleet(100, bounds, 300, seed=42)
+    cfg = TransitConfig(duration_s=300, sampling_period_s=1, seed=0)
+    series = {pr: run_transit(field, subsample_by_penetration(fleet, pr, 0), None, draw_truth(0), cfg)
+              for pr in (0.1, 1.0)}
+    return series, GridSpec(bounds, 10.0)
+
+
+@pytest.mark.parametrize("pr", [0.1, 1.0])
+def test_grid_series_matches_idw_interpolate_desk_scale(desk_series, pr):
+    series, spec = desk_series
+    _assert_matches_reference(series[pr], spec, 3)
+
+
+def test_grid_series_peak_memory_below_reference(desk_series):
+    # the exhaustive path holds all sensors x grid points distances; the
+    # tiled path only the candidates of each tile
+    series, spec = desk_series
+    snap = series[1.0].snapshots[0]
+    peaks = []
+    for run in (lambda: idw_interpolate(snap, spec, 3),
+                lambda: grid_series(_series([snap]), spec, 3)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    reference, tiled = peaks
+    assert tiled < reference
