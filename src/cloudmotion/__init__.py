@@ -29,14 +29,11 @@ from .fleet import (
 )
 from .fractal_field import (
     ClearSkyField,
-    CloudIndexField,
     FractalSurface,
     cloud_to_clearsky,
     generate_fractal,
     make_clearsky_field,
-    quantize_8bit,
     required_field_side,
-    to_cloud_index,
 )
 from .geometry import Rect
 from .gridding import GridSnapshot, GridSpec, grid_series, idw_interpolate
@@ -54,7 +51,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "ClearSkyField",
-    "CloudIndexField",
     "CmaeSurface",
     "CmvEstimate",
     "FractalSurface",
@@ -80,7 +76,6 @@ __all__ = [
     "load_shadow_mask",
     "load_trajectories",
     "make_clearsky_field",
-    "quantize_8bit",
     "required_field_side",
     "rmse",
     "run_campaign",
@@ -88,5 +83,4 @@ __all__ = [
     "sample_field_at",
     "search_cmv",
     "subsample_by_penetration",
-    "to_cloud_index",
 ]

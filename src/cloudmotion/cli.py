@@ -21,6 +21,8 @@ from .cmae import InsufficientPairsError
 from .evaluation import CampaignConfig, run_campaign, write_results_csv, write_scatter_csvs
 from .fleet import TrajectoryParseError, load_shadow_mask, load_trajectories
 from .fractal_field import (
+    _BLOCK_ROWS,
+    _LEVEL_KSTAR,
     auto_pixel_size,
     make_clearsky_field,
     required_field_side,
@@ -131,10 +133,17 @@ def cmd_genfield(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     pgm = out / "field.pgm"
     write_clearsky_pgm(field, pgm)
+    # level ranks are k* ranks; bincount copies its input to intp, so blocks
+    counts = sum(
+        np.bincount(field.levels[r0 : r0 + _BLOCK_ROWS].ravel(), minlength=256)
+        for r0 in range(0, side, _BLOCK_ROWS)
+    )
+    present = np.flatnonzero(counts)
+    middle = np.searchsorted(np.cumsum(counts), [(side * side - 1) // 2, side * side // 2], "right")
     print(
         f"wrote {pgm} ({side}x{side}, {field.pixel_size_m:g} m/px); "
-        f"kstar min {field.kstar.min():.4f} max {field.kstar.max():.4f} "
-        f"median {float(np.median(field.kstar)):.4f}"
+        f"kstar min {_LEVEL_KSTAR[present[0]]:.4f} max {_LEVEL_KSTAR[present[-1]]:.4f} "
+        f"median {float(_LEVEL_KSTAR[middle].mean()):.4f}"
     )
     RunManifest(
         command="genfield",

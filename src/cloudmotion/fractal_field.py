@@ -2,18 +2,16 @@
 
 Pipeline: a midpoint-displacement (diamond-square) fractal surface is
 thresholded at its median into cloudy/clear regions with a linear
-transition band, giving a cloud-index raster n in [-0.2, 1.2]; n is then
-mapped through an empirical piecewise relation to clear-sky indices
-k* in [0.09, 1.2], and optionally reduced to 8-bit levels for storage.
+transition band into a cloud index n in [-0.2, 1.2], mapped through an
+empirical piecewise relation to clear-sky indices k* in [0.09, 1.2] and
+stored as 8-bit levels.
 
-Every step after the median is elementwise, so it runs on blocks of
-_BLOCK_ROWS rows written into one float32 output; float64 temporaries
-are the size of one block, never of the raster.  make_clearsky_field
-fuses the steps per block.  Measured with numpy 2.4: at 1024 px its
-tracemalloc peak is 3.2x the output's bytes (10.8x when each step built
-a full raster), and a fresh process building a 2048 px field peaks at
-83 MB RSS (231 MB before), a 4096 px field at 224 MB (727 MB before);
-generate_fractal's own working set is now the larger part.
+The field is built in one (n+1)^2 float32 grid plus its uint8 levels:
+the recursion works in place, the median needs no copy, and the steps
+after it run on blocks of _BLOCK_ROWS rows.  Measured with numpy 2.4: at
+1024 px the tracemalloc peak is 2.5x a float32 raster's bytes (3.5x with
+a float32 field, 10.8x with full-raster steps); a fresh process building
+a 4096 px field peaks at 138 MB RSS (224 and 727 MB before).
 """
 from __future__ import annotations
 
@@ -27,9 +25,10 @@ KSTAR_MAX = 1.2
 CLOUD_INDEX_MIN = -0.2
 CLOUD_INDEX_MAX = 1.2
 
-# Rows per block of the elementwise steps after the median.  At 4096 px
-# the whole pipeline took 1.07 s with 32-row blocks, 0.88 s with 128,
-# 1.29 s with 512 and 1.85 s unblocked (2-core Xeon, numpy 2.4).
+# Rows per block of the median's passes and the elementwise steps after
+# it.  At 4096 px those steps took 1.07 s with 32-row blocks, 0.88 s with
+# 128, 1.29 s with 512 and 1.85 s unblocked; the median 0.09 s with 64 or
+# 128, 0.11 s with 256 and 0.14 s for np.median (2-core Xeon, numpy 2.4).
 _BLOCK_ROWS = 128
 
 # Quadratic branch coefficients of the cloud-index -> clear-sky-index map.
@@ -65,21 +64,17 @@ class FractalSurface:
 
 
 @dataclass(frozen=True)
-class CloudIndexField:
-    """Cloud-index raster n in [-0.2, 1.2]; -0.2 fully clear, 1.2 fully cloudy."""
-
-    n: np.ndarray
-    side_px: int
-    pixel_size_m: float
-
-
-@dataclass(frozen=True)
 class ClearSkyField:
-    """Clear-sky-index raster k* in [0.09, 1.2] with world-space pixel size."""
+    """Clear-sky-index raster as uint8 levels (kstar_to_levels) with world-space pixel size."""
 
-    kstar: np.ndarray
+    levels: np.ndarray
     side_px: int
     pixel_size_m: float
+
+    @property
+    def kstar(self) -> np.ndarray:
+        """float32 k* of every pixel, a new full-size array on each call."""
+        return _LEVEL_KSTAR[self.levels]
 
     @property
     def extent_m(self) -> float:
@@ -96,12 +91,22 @@ def _admissible_grid_exponent(side_px: int) -> int:
     )
 
 
+def _edge_means(out, corners, diam) -> None:
+    """out[i, j] = mean of corners[i, j], corners[i + 1, j] and whichever of
+    diam[i, j - 1], diam[i, j] exist, summed in that order (4 or 3 terms)."""
+    np.add(corners[:-1], corners[1:], out=out)
+    out[:, 1:] += diam
+    out[:, :-1] += diam
+    out[:, 1:-1] /= 4
+    out[:, [0, -1]] /= 3
+
+
 def generate_fractal(side_px: int, fractal_dimension: float, seed: int) -> FractalSurface:
     """Generate a square fractal surface by diamond-square recursion.
 
-    The surface is built on a (2**k + 1) grid and cropped to side_px when a
-    power-of-two side is requested.  Gaussian displacements shrink by
-    2**-(3 - fractal_dimension) per subdivision level.  Output is
+    The surface is built on a (2**k + 1) grid; a power-of-two side gets a
+    view of its first side_px rows and columns.  Gaussian displacements
+    shrink by 2**-(3 - fractal_dimension) per subdivision level.  Output is
     reproducible bit for bit for a fixed (side_px, fractal_dimension, seed).
     """
     k = _admissible_grid_exponent(side_px)
@@ -115,6 +120,16 @@ def generate_fractal(side_px: int, fractal_dimension: float, seed: int) -> Fract
 
     grid = np.zeros((n + 1, n + 1), dtype=np.float32)
     grid[::n, ::n] = rng.standard_normal((2, 2), dtype=np.float32)
+    # Scratch for the largest step, (n/2) x (n/2 + 1): means are summed here
+    # (numpy copies inputs that may overlap a view of the same grid as
+    # output), stored, and the buffer then takes the displacements.
+    buf = np.empty((n // 2) * (n // 2 + 1), dtype=np.float32)
+
+    def set_displaced(cells, mean):
+        cells[...] = mean
+        rng.standard_normal(dtype=np.float32, out=mean)
+        mean *= amp
+        cells += mean
 
     amp = np.float32(1.0)
     step = n
@@ -123,48 +138,34 @@ def generate_fractal(side_px: int, fractal_dimension: float, seed: int) -> Fract
         amp *= decay
 
         # Diamond: square centers get the 4-corner mean plus displacement.
-        tl = grid[0:n:step, 0:n:step]
-        tr = grid[0:n:step, step : n + 1 : step]
-        bl = grid[step : n + 1 : step, 0:n:step]
-        br = grid[step : n + 1 : step, step : n + 1 : step]
         centers = grid[half:n:step, half:n:step]
-        centers[...] = (tl + tr + bl + br) * np.float32(0.25)
-        centers += rng.standard_normal(centers.shape, dtype=np.float32) * amp
+        mean = buf[: centers.size].reshape(centers.shape)
+        np.add(grid[0:n:step, 0:n:step], grid[0:n:step, step : n + 1 : step], out=mean)
+        mean += grid[step : n + 1 : step, 0:n:step]
+        mean += grid[step : n + 1 : step, step : n + 1 : step]
+        mean *= np.float32(0.25)
+        set_displaced(centers, mean)
 
         # Square: edge midpoints average their 3 or 4 axial neighbors at
         # distance `half` -- corner-lattice points up/down (or left/right)
         # and the fresh diamond centers on the other axis.
-        m = n // step
         corners = grid[0 : n + 1 : step, 0 : n + 1 : step]  # (m+1, m+1)
         diam = grid[half : n + 1 : step, half : n + 1 : step]  # (m, m)
-
         lat_a = grid[half : n + 1 : step, 0 : n + 1 : step]  # (m, m+1)
-        acc = corners[:m, :] + corners[1:, :]
-        cnt = np.full(lat_a.shape, 2, dtype=np.int8)
-        acc[:, 1:] += diam
-        cnt[:, 1:] += 1
-        acc[:, :-1] += diam
-        cnt[:, :-1] += 1
-        lat_a[...] = acc / cnt
-        lat_a += rng.standard_normal(lat_a.shape, dtype=np.float32) * amp
-
+        mean = buf[: lat_a.size].reshape(lat_a.shape)
+        _edge_means(mean, corners, diam)
+        set_displaced(lat_a, mean)
         lat_b = grid[0 : n + 1 : step, half : n + 1 : step]  # (m+1, m)
-        acc = corners[:, :m] + corners[:, 1:]
-        cnt = np.full(lat_b.shape, 2, dtype=np.int8)
-        acc[1:, :] += diam
-        cnt[1:, :] += 1
-        acc[:-1, :] += diam
-        cnt[:-1, :] += 1
-        lat_b[...] = acc / cnt
-        lat_b += rng.standard_normal(lat_b.shape, dtype=np.float32) * amp
+        mean = buf[: lat_b.size].reshape(lat_b.shape)
+        _edge_means(mean.T, corners.T, diam.T)
+        set_displaced(lat_b, mean)
 
         step = half
 
-    values = np.ascontiguousarray(grid[:side_px, :side_px])
-    return FractalSurface(values=values, side_px=side_px, fractal_dimension=fractal_dimension)
+    return FractalSurface(grid[:side_px, :side_px], side_px, fractal_dimension)
 
 
-def _map_rows(src: np.ndarray, fn, dtype=np.float32) -> np.ndarray:
+def _map_rows(src: np.ndarray, fn, dtype) -> np.ndarray:
     """fn applied block of rows by block of rows, written into one array.
 
     Bit-identical to fn(src) for any elementwise fn, with float64
@@ -176,6 +177,28 @@ def _map_rows(src: np.ndarray, fn, dtype=np.float32) -> np.ndarray:
     return out
 
 
+def _median(v: np.ndarray):
+    """np.median(v) of a 2-D float32 array with contiguous rows, without a copy.
+
+    A histogram of the high 16 bits (sign, exponent, 7 mantissa bits; a
+    uint16 view), over blocks of rows, finds the bins of ranks (N-1)//2
+    and N//2; only those are gathered and sorted.  Bins are in value order
+    with negative bit patterns reversed (-0.0 and +0.0 are adjacent), and
+    np.mean averages the pair, as in np.median.
+    """
+    blocks = [v[r0 : r0 + _BLOCK_ROWS] for r0 in range(0, v.shape[0], _BLOCK_ROWS)]
+    high = [b.view(np.uint16)[..., int(np.little_endian) :: 2] for b in blocks]
+    counts = sum(np.bincount(h.ravel(), minlength=1 << 16) for h in high)
+    order = np.r_[np.arange(0xFFFF, 0x7FFF, -1), np.arange(0x8000)]
+    cum = np.cumsum(counts[order])
+    ranks = ((v.size - 1) // 2, v.size // 2)
+    pos = np.searchsorted(cum, ranks, side="right")
+    k0, k1 = order[pos].astype(np.uint16)
+    picked = [b[h == k0] if k0 == k1 else b[(h == k0) | (h == k1)] for b, h in zip(blocks, high)]
+    before = cum[pos[0]] - counts[k0]
+    return np.sort(np.concatenate(picked))[ranks[0] - before : ranks[1] - before + 1].mean()
+
+
 def _median_threshold(surface: FractalSurface, transition_halfwidth: float):
     """Validated median of the surface, the one global step of the pipeline."""
     if transition_halfwidth <= 0:
@@ -183,11 +206,12 @@ def _median_threshold(surface: FractalSurface, transition_halfwidth: float):
     v = surface.values
     if v.min() == v.max():
         raise DegenerateSurfaceError("all surface values equal; median separates nothing")
-    return np.median(v)
+    return _median(v)
 
 
 def _cloud_index_rows(v: np.ndarray, t, transition_halfwidth: float) -> np.ndarray:
-    """Cloud index of surface values v given the median threshold t."""
+    """Cloud index of surface values v: -0.2 (clear) at or below t - halfwidth,
+    1.2 (cloudy) at or above t + halfwidth, linear between, so t maps to 0.5."""
     lo = np.float32(CLOUD_INDEX_MIN)
     hi = np.float32(CLOUD_INDEX_MAX)
     frac = np.clip((v - (t - transition_halfwidth)) / (2.0 * transition_halfwidth), 0.0, 1.0)
@@ -197,30 +221,6 @@ def _cloud_index_rows(v: np.ndarray, t, transition_halfwidth: float) -> np.ndarr
     n[v <= t - transition_halfwidth] = lo
     n[v >= t + transition_halfwidth] = hi
     return n
-
-
-def _clearsky_rows(n: np.ndarray) -> np.ndarray:
-    return cloud_to_clearsky(n).astype(np.float32)
-
-
-def _quantized_rows(kstar: np.ndarray) -> np.ndarray:
-    return _LEVEL_KSTAR[kstar_to_levels(kstar)]
-
-
-def to_cloud_index(
-    surface: FractalSurface,
-    transition_halfwidth: float = 0.15,
-    pixel_size_m: float = 1.0,
-) -> CloudIndexField:
-    """Threshold a surface at its median with a linear transition band.
-
-    Values at or below median - halfwidth map to -0.2 (fully clear), at or
-    above median + halfwidth to 1.2 (fully cloudy); the band in between maps
-    linearly, so the median itself lands on 0.5.
-    """
-    t = _median_threshold(surface, transition_halfwidth)
-    n = _map_rows(surface.values, lambda v: _cloud_index_rows(v, t, transition_halfwidth))
-    return CloudIndexField(n=n, side_px=surface.side_px, pixel_size_m=pixel_size_m)
 
 
 def cloud_to_clearsky(n):
@@ -242,12 +242,6 @@ def cloud_to_clearsky(n):
     return out
 
 
-def clearsky_field(cloud: CloudIndexField) -> ClearSkyField:
-    """Apply the cloud-index -> clear-sky-index map to a whole raster."""
-    kstar = _map_rows(cloud.n, _clearsky_rows)
-    return ClearSkyField(kstar=kstar, side_px=cloud.side_px, pixel_size_m=cloud.pixel_size_m)
-
-
 def kstar_to_levels(kstar: np.ndarray) -> np.ndarray:
     """Linear 8-bit levels over the full k* range; 0 = 0.09, 255 = 1.2."""
     span = KSTAR_MAX - KSTAR_MIN
@@ -263,12 +257,6 @@ def levels_to_kstar(levels: np.ndarray) -> np.ndarray:
 # k* of every 8-bit level; indexing it with uint8 levels equals
 # levels_to_kstar(levels) bit for bit, since that map is elementwise.
 _LEVEL_KSTAR = levels_to_kstar(np.arange(256, dtype=np.uint8))
-
-
-def quantize_8bit(field: ClearSkyField) -> ClearSkyField:
-    """Round-trip k* through 256 linear levels; idempotent, error <= half a step."""
-    kstar = _map_rows(field.kstar, _quantized_rows)
-    return ClearSkyField(kstar=kstar, side_px=field.side_px, pixel_size_m=field.pixel_size_m)
 
 
 def required_field_side(sim_duration_s: float, v_max: float, obs_diag_m: float) -> float:
@@ -294,20 +282,18 @@ def make_clearsky_field(
     seed: int = 0,
     transition_halfwidth: float = 0.15,
     pixel_size_m: float = 1.0,
-    quantize: bool = True,
 ) -> ClearSkyField:
-    """Full generation pipeline: fractal -> cloud index -> k*, 8-bit by default.
+    """Full generation pipeline: fractal -> cloud index -> float32 k* -> levels.
 
-    Equals quantize_8bit(clearsky_field(to_cloud_index(...))) bit for bit,
-    but runs every step after the median on one block of rows at a time, so
-    no cloud-index, unquantised or float64 full raster is built.
+    Every step after the median runs on one block of rows at a time, so no
+    cloud-index, k* or float64 full raster is built.
     """
     surf = generate_fractal(side_px, fractal_dimension, seed)
     t = _median_threshold(surf, transition_halfwidth)
 
     def rows(v):
-        kstar = _clearsky_rows(_cloud_index_rows(v, t, transition_halfwidth))
-        return _quantized_rows(kstar) if quantize else kstar
+        n = _cloud_index_rows(v, t, transition_halfwidth)
+        return kstar_to_levels(cloud_to_clearsky(n).astype(np.float32))
 
-    kstar = _map_rows(surf.values, rows)
-    return ClearSkyField(kstar=kstar, side_px=side_px, pixel_size_m=pixel_size_m)
+    levels = _map_rows(surf.values, rows, np.uint8)
+    return ClearSkyField(levels=levels, side_px=side_px, pixel_size_m=pixel_size_m)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fractal_field import _LEVEL_KSTAR, ClearSkyField, _map_rows, kstar_to_levels
+from .fractal_field import ClearSkyField
 
 
 def write_pgm(path, levels: np.ndarray) -> None:
@@ -55,7 +55,7 @@ def sidecar_path(pgm_path) -> Path:
 
 def write_clearsky_pgm(field: ClearSkyField, path) -> None:
     """8-bit field export: PGM levels plus a sidecar holding pixel_size_m."""
-    write_pgm(path, _map_rows(field.kstar, kstar_to_levels, np.uint8))
+    write_pgm(path, field.levels)
     sidecar_path(path).write_text(f"{field.pixel_size_m:g}\n")
 
 
@@ -64,6 +64,4 @@ def read_clearsky_pgm(path) -> ClearSkyField:
     if levels.shape[0] != levels.shape[1]:
         raise ValueError(f"{path}: clear-sky fields are square rasters")
     pixel_size = float(sidecar_path(path).read_text().split()[0])
-    return ClearSkyField(
-        kstar=_LEVEL_KSTAR[levels], side_px=levels.shape[0], pixel_size_m=pixel_size
-    )
+    return ClearSkyField(levels=levels, side_px=levels.shape[0], pixel_size_m=pixel_size)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .fleet import SensorSnapshot, ShadowMask, TrajectoryDataset, active_sensor_records
-from .fractal_field import ClearSkyField
+from .fractal_field import _LEVEL_KSTAR, ClearSkyField
 from .geometry import Rect
 
 SPEED_MIN_MPS = 1.0
@@ -134,7 +134,7 @@ def sample_field_at(
         )
     ix = np.minimum((qx / pix).astype(np.int64), field.side_px - 1)
     iy = np.minimum((qy / pix).astype(np.int64), field.side_px - 1)
-    sensors = np.column_stack([pos, field.kstar[iy, ix]])
+    sensors = np.column_stack([pos, _LEVEL_KSTAR[field.levels[iy, ix]]])
     return SensorSnapshot(t=t, sensors=sensors, vehicle_ids=vehicle_ids)
 
 

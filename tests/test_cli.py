@@ -75,6 +75,27 @@ def test_genfield_writes_field_and_manifest(tmp_path, capsys):
     assert manifest["seeds"] == {"field": 5}
 
 
+@pytest.mark.parametrize(
+    "config,summary",
+    [
+        # min and max inside the band, median between two levels
+        (
+            "side_px = 4\nseed = 5\ntransition_halfwidth = 2\n",
+            "(4x4, 1 m/px); kstar min 0.2032 max 0.7429 median 0.5014",
+        ),
+        (
+            "side_px = 64\nseed = 5\npixel_size_m = 2\n",
+            "(64x64, 2 m/px); kstar min 0.0900 max 1.2000 median 0.4992",
+        ),
+    ],
+)
+def test_genfield_summary_line_pinned(tmp_path, capsys, config, summary):
+    # lines printed when the summary read a float k* raster
+    cfg, out = _write_config(tmp_path, config), tmp_path / "out"
+    assert main(["genfield", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out / 'field.pgm'} {summary}\n"
+
+
 def test_genfield_deterministic_output(tmp_path):
     cfg = _write_config(tmp_path, "side_px = 64\nseed = 5\n")
     out1, out2 = tmp_path / "a", tmp_path / "b"

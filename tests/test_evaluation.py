@@ -155,7 +155,7 @@ def test_campaign_paired_truth_draws_across_cells():
 
 def test_campaign_zero_valid_cell_is_reported_empty():
     flat = ClearSkyField(
-        kstar=np.full((512, 512), 1.2, dtype=np.float32),
+        levels=np.full((512, 512), 255, dtype=np.uint8),  # k* = 1.2, clear sky
         side_px=512,
         pixel_size_m=auto_pixel_size(512, required_field_side(DURATION, 30.0, BOUNDS.diagonal)),
     )

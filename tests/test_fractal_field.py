@@ -1,29 +1,76 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cloudmotion.fractal_field import (
-    ClearSkyField,
+    _LEVEL_KSTAR,
     DegenerateSurfaceError,
     FieldSizeError,
     FractalSurface,
+    _cloud_index_rows,
+    _map_rows,
+    _median,
+    _median_threshold,
     cloud_to_clearsky,
-    clearsky_field,
     generate_fractal,
     kstar_to_levels,
     levels_to_kstar,
     make_clearsky_field,
-    quantize_8bit,
     required_field_side,
-    to_cloud_index,
 )
 
 QSTEP = (1.2 - 0.09) / 255.0
+
+
+# ------------------------------------------- float oracle of the pipeline
+#
+# make_clearsky_field keeps only 8-bit levels; these steps keep every
+# float raster between them, so tests can check each step on its own.
+
+@dataclass(frozen=True)
+class CloudIndexField:
+    """Cloud-index raster n in [-0.2, 1.2]; -0.2 fully clear, 1.2 fully cloudy."""
+
+    n: np.ndarray
+    side_px: int
+    pixel_size_m: float
+
+
+@dataclass(frozen=True)
+class FloatClearSkyField:
+    """float32 k* raster in [0.09, 1.2] with world-space pixel size."""
+
+    kstar: np.ndarray
+    side_px: int
+    pixel_size_m: float
+
+
+def to_cloud_index(surface, transition_halfwidth=0.15, pixel_size_m=1.0):
+    """Threshold a surface at its median with a linear transition band."""
+    t = _median_threshold(surface, transition_halfwidth)
+    n = _map_rows(
+        surface.values, lambda v: _cloud_index_rows(v, t, transition_halfwidth), np.float32
+    )
+    return CloudIndexField(n=n, side_px=surface.side_px, pixel_size_m=pixel_size_m)
+
+
+def clearsky_field(cloud):
+    """Apply the cloud-index -> clear-sky-index map to a whole raster."""
+    kstar = _map_rows(cloud.n, lambda n: cloud_to_clearsky(n).astype(np.float32), np.float32)
+    return FloatClearSkyField(kstar=kstar, side_px=cloud.side_px, pixel_size_m=cloud.pixel_size_m)
+
+
+def quantize_8bit(field):
+    """Round-trip k* through 256 linear levels; idempotent, error <= half a step."""
+    kstar = _map_rows(field.kstar, lambda k: _LEVEL_KSTAR[kstar_to_levels(k)], np.float32)
+    return FloatClearSkyField(kstar=kstar, side_px=field.side_px, pixel_size_m=field.pixel_size_m)
 
 
 # ---------------------------------------------------------------- generator
@@ -72,8 +119,25 @@ def test_generate_full_size_reproducible():
     # across runs and processes.
     s = generate_fractal(16384, 1.5, seed=42)
     assert s.values.shape == (16384, 16384)
-    digest = hashlib.sha256(s.values.tobytes()).hexdigest()
+    h = hashlib.sha256()
+    for r0 in range(0, 16384, 256):
+        h.update(s.values[r0 : r0 + 256].tobytes())
+    digest = h.hexdigest()
     assert digest == "269c52881b6cbfe2063dc15ba871056d6fad6e7e0e4fcb0cd9209dfa4282094a"
+
+
+def test_generate_peak_memory():
+    # the (n+1)^2 grid plus one displacement buffer a quarter of its size;
+    # the surface is a view of the grid, not a cropped copy
+    side = 1024
+    generate_fractal(4, 1.5, seed=7)  # numpy's first-call allocations are not the generator's
+    tracemalloc.start()
+    try:
+        generate_fractal(side, 1.5, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * side * side * 4
 
 
 def test_rougher_dimension_changes_surface():
@@ -182,9 +246,7 @@ def test_clearsky_range(n):
 # ------------------------------------------------------------ quantization
 
 def test_quantize_endpoints_exact():
-    field = ClearSkyField(np.array([[0.09, 1.2]], dtype=np.float32), 1, 1.0)
-    # not square, so bypass the dataclass and test the level helpers directly
-    levels = kstar_to_levels(field.kstar)
+    levels = kstar_to_levels(np.array([[0.09, 1.2]], dtype=np.float32))
     assert levels.tolist() == [[0, 255]]
     back = levels_to_kstar(levels)
     assert back[0, 0] == pytest.approx(0.09, abs=1e-7)
@@ -192,7 +254,7 @@ def test_quantize_endpoints_exact():
 
 
 def test_quantize_error_bound_at_midpoint():
-    field = ClearSkyField(np.full((2, 2), 0.645, dtype=np.float32), 2, 1.0)
+    field = FloatClearSkyField(np.full((2, 2), 0.645, dtype=np.float32), 2, 1.0)
     q = quantize_8bit(field)
     assert np.all(np.abs(q.kstar - 0.645) <= QSTEP / 2 + 1e-7)
 
@@ -202,7 +264,7 @@ def test_quantize_error_bound_at_midpoint():
 def test_quantize_idempotent(seed):
     rng = np.random.default_rng(seed)
     kstar = rng.uniform(0.09, 1.2, (6, 6)).astype(np.float32)
-    field = ClearSkyField(kstar, 6, 1.0)
+    field = FloatClearSkyField(kstar, 6, 1.0)
     once = quantize_8bit(field)
     twice = quantize_8bit(once)
     assert np.array_equal(once.kstar, twice.kstar)
@@ -245,9 +307,11 @@ def test_clearsky_field_wraps_cloud_index():
     assert field.pixel_size_m == cloud.pixel_size_m
 
 
-# Digests of make_clearsky_field(side, 1.5, seed, pixel_size_m=2.0).kstar,
-# recorded from the whole-raster pipeline before it ran in row blocks.
-# 129 and 1025 end in a partial block of rows, 256 and 2048 in full ones.
+# Digests of the float32 k* raster of the pipeline for (side, 1.5, seed),
+# 8-bit quantised (True: make_clearsky_field(...).kstar) or not (False:
+# the float oracle above), recorded from the whole-raster pipeline before
+# it ran in row blocks.  129 and 1025 end in a partial block of rows, 256
+# and 2048 in full ones.
 PIPELINE_DIGESTS = {
     (129, 3, True): "0dd434d0ecfab5deee23a6844be405515f66955f95692a9cf341fadd1b8ed2a6",
     (129, 3, False): "b9f96274567ba2af7c9490efb070ed2cd8c5ca132f08baada73b726713da7d62",
@@ -262,7 +326,11 @@ PIPELINE_DIGESTS = {
 
 @pytest.mark.parametrize("side,seed,quantize", sorted(PIPELINE_DIGESTS))
 def test_pipeline_digest_pinned(side, seed, quantize):
-    field = make_clearsky_field(side, 1.5, seed, pixel_size_m=2.0, quantize=quantize)
+    if quantize:
+        field = make_clearsky_field(side, 1.5, seed, pixel_size_m=2.0)
+        assert field.levels.dtype == np.uint8
+    else:
+        field = clearsky_field(to_cloud_index(generate_fractal(side, 1.5, seed), 0.15, 2.0))
     assert field.kstar.dtype == np.float32 and field.kstar.shape == (side, side)
     digest = hashlib.sha256(field.kstar.tobytes()).hexdigest()
     assert digest == PIPELINE_DIGESTS[side, seed, quantize]
@@ -277,11 +345,8 @@ def test_pipeline_equals_public_steps(side, halfwidth):
     fused = make_clearsky_field(
         side, 1.5, seed=side, transition_halfwidth=halfwidth, pixel_size_m=3.0
     )
-    fused_raw = make_clearsky_field(
-        side, 1.5, seed=side, transition_halfwidth=halfwidth, pixel_size_m=3.0, quantize=False
-    )
     assert np.array_equal(quantize_8bit(raw).kstar, fused.kstar)
-    assert np.array_equal(raw.kstar, fused_raw.kstar)
+    assert np.array_equal(kstar_to_levels(raw.kstar), fused.levels)
     assert fused.pixel_size_m == 3.0 and fused.side_px == side
     # each blocked step equals its expression on the whole raster
     assert np.array_equal(raw.kstar, cloud_to_clearsky(cloud.n).astype(np.float32))
@@ -299,8 +364,8 @@ def test_pipeline_validation_order():
 
 def test_pipeline_peak_memory():
     # float64 temporaries the size of the raster would take 2x its float32
-    # output each; row blocks keep the peak to the surface, the median's
-    # copy of it and the output, plus one block
+    # bytes each; the peak is the fractal grid, the uint8 levels and the
+    # median's or the level map's per-block temporaries
     side = 1024
     tracemalloc.start()
     try:
@@ -308,4 +373,55 @@ def test_pipeline_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5 * side * side * 4
+    assert peak < 3 * side * side * 4
+
+
+# ------------------------------------------------------------ median
+
+_median_values = st.one_of(
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+    # ties, both zeros and the smallest subnormals, which share the zeros' bins
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0**-149, -(2.0**-149)]),
+)
+
+
+def _assert_median_equal(v):
+    got, want = _median(v), np.median(v)
+    assert got.dtype == want.dtype == np.float32
+    assert got == want  # == so that -0.0 and +0.0 agree, as np.median may give either
+
+
+@given(
+    arrays(np.float32, st.tuples(st.integers(1, 600), st.integers(1, 3)), elements=_median_values)
+)
+@settings(max_examples=60, deadline=None)
+@example(np.array([[-0.0], [0.0]], dtype=np.float32))
+@example(np.array([[0.0, -0.0, -0.0, 0.0]], dtype=np.float32))
+@example(np.array([[1.0, 1.0, 1.0, 2.0]], dtype=np.float32))
+@example(np.array([[-3.0, -2.0, -1.0]], dtype=np.float32))
+@example(np.array([[0.25, 0.5, 0.75, 3.0e38]], dtype=np.float32))
+def test_median_equals_numpy(v):
+    # up to 600 rows crosses the histogram's row blocks; odd and even counts
+    _assert_median_equal(v)
+
+
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.integers(0, 4), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_median_of_crops_equals_numpy(k, seed, outlier_at, shift):
+    # non-contiguous crops of a (2^k + 1)^2 array, as generate_fractal returns
+    side = 1 << k
+    grid = np.random.default_rng(seed).standard_normal((side + 1, side + 1), dtype=np.float32)
+    if shift:
+        grid -= np.float32(0.3)  # move the median off zero
+    grid[outlier_at % side, 0] = np.float32(1e30)  # a single outlier
+    _assert_median_equal(grid[:side, :side])
+    _assert_median_equal(grid[1:, :side])
+
+
+@pytest.mark.parametrize("side,seed", [(64, 1), (129, 3), (1024, 7)])
+def test_levels_same_for_either_median(side, seed):
+    surf = generate_fractal(side, 1.5, seed)
+    assert _median_threshold(surf, 0.15) == np.median(surf.values)
+    n = _cloud_index_rows(surf.values, np.median(surf.values), 0.15)
+    want = kstar_to_levels(cloud_to_clearsky(n).astype(np.float32))
+    assert make_clearsky_field(side, 1.5, seed).levels.tobytes() == want.tobytes()

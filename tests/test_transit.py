@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cloudmotion.fleet import SensorSnapshot, TrajectoryDataset, trajectory_table
-from cloudmotion.fractal_field import ClearSkyField
+from cloudmotion.fractal_field import ClearSkyField, kstar_to_levels
 from cloudmotion.geometry import Rect
 from cloudmotion.transit import (
     FieldSizingError,
@@ -23,17 +23,33 @@ from cloudmotion.transit import (
 BOUNDS = Rect(0.0, 0.0, 600.0, 900.0)
 
 
-def _coordinate_field(side=512, pixel=1.0):
-    """kstar encodes the pixel index so lookups are verifiable."""
+def _coordinate_fields(side=512, pixel=1.0):
+    """Four fields whose levels are the low and high byte of each pixel's
+    row and then column index, so lookups are verifiable; 256 levels
+    cannot number the pixels of one field."""
     iy, ix = np.mgrid[0:side, 0:side]
-    kstar = (0.09 + (iy * side + ix) * (1.11 / (side * side))).astype(np.float32)
-    return ClearSkyField(kstar=kstar, side_px=side, pixel_size_m=pixel)
+    return [
+        ClearSkyField(levels=(c >> shift & 255).astype(np.uint8), side_px=side, pixel_size_m=pixel)
+        for c in (iy, ix)
+        for shift in (0, 8)
+    ]
+
+
+def _sampled_pixels(fields, *args):
+    """(row, column) of the pixel each position reads, through sample_field_at."""
+    lo_y, hi_y, lo_x, hi_x = (
+        kstar_to_levels(sample_field_at(f, *args).sensors[:, 2]).astype(int) for f in fields
+    )
+    return list(zip((hi_y << 8 | lo_y).tolist(), (hi_x << 8 | lo_x).tolist()))
+
+
+def _field(kstar, pixel=1.0):
+    """A field from a square float k* raster, quantised to levels."""
+    return ClearSkyField(levels=kstar_to_levels(kstar), side_px=kstar.shape[0], pixel_size_m=pixel)
 
 
 def _flat_field(value=1.2, side=2048, pixel=8.0):
-    return ClearSkyField(
-        kstar=np.full((side, side), value, dtype=np.float32), side_px=side, pixel_size_m=pixel
-    )
+    return _field(np.full((side, side), value, dtype=np.float32), pixel)
 
 
 def _fleet(recs, duration_s):
@@ -87,35 +103,35 @@ def test_draw_truth_ranges_and_uniformity():
 # --------------------------------------------------------------- sampling
 
 def test_sample_static_truth_is_constant_over_time():
-    field = _coordinate_field()
+    fields = _coordinate_fields()
     truth = MotionTruth(0.0, 0.0)
     pos = [(100.5, 200.5), (300.25, 400.75)]
-    s0 = sample_field_at(field, (0.0, 0.0), truth, 0, pos)
-    s9 = sample_field_at(field, (0.0, 0.0), truth, 9, pos)
-    assert [s[2] for s in s0.sensors] == [s[2] for s in s9.sensors]
+    s0 = _sampled_pixels(fields, (0.0, 0.0), truth, 0, pos)
+    s9 = _sampled_pixels(fields, (0.0, 0.0), truth, 9, pos)
+    assert s0 == s9
 
 
 def test_sample_direction_zero_offsets_lookup_south():
     # the field moves north, so the t=10 lookup lands 100 m south (in field
     # coordinates) of the t=0 lookup
-    field = _coordinate_field()
+    fields = _coordinate_fields()
     truth = MotionTruth(10.0, 0.0)
     p = [(128.5, 200.5)]
-    k0 = sample_field_at(field, (0.0, 0.0), truth, 0, p).sensors[0][2]
-    k10 = sample_field_at(field, (0.0, 0.0), truth, 10, p).sensors[0][2]
-    assert k0 == field.kstar[200, 128]
-    assert k10 == field.kstar[100, 128]
+    k0 = _sampled_pixels(fields, (0.0, 0.0), truth, 0, p)[0]
+    k10 = _sampled_pixels(fields, (0.0, 0.0), truth, 10, p)[0]
+    assert k0 == (200, 128)
+    assert k10 == (100, 128)
 
 
 def test_sample_same_position_same_value():
-    field = _coordinate_field()
+    fields = _coordinate_fields()
     truth = MotionTruth(3.0, 45.0)
-    snap = sample_field_at(field, (-100.0, -100.0), truth, 5, [(50.0, 60.0), (50.0, 60.0)])
-    assert snap.sensors[0][2] == snap.sensors[1][2]
+    pixels = _sampled_pixels(fields, (-100.0, -100.0), truth, 5, [(50.0, 60.0), (50.0, 60.0)])
+    assert pixels[0] == pixels[1]
 
 
 def test_sample_outside_field_fails_fast():
-    field = _coordinate_field(side=64)
+    field = _flat_field(side=64, pixel=1.0)
     truth = MotionTruth(10.0, 180.0)  # lookups drift north
     with pytest.raises(FieldSizingError):
         sample_field_at(field, (0.0, 0.0), truth, 50, [(32.0, 32.0)])
@@ -130,7 +146,7 @@ def test_sample_outside_field_fails_fast():
 def test_galilean_consistency(speed, direction, t):
     # sampling at time t equals sampling at time 0 with positions displaced
     # by -t*v (up to pixel-boundary ties, excluded below)
-    field = _coordinate_field()
+    fields = _coordinate_fields()
     truth = MotionTruth(speed, direction)
     v = truth.velocity
     positions = [(200.5, 250.5), (310.5, 180.5)]
@@ -138,9 +154,9 @@ def test_galilean_consistency(speed, direction, t):
         for q in (x - t * v[0], y - t * v[1]):
             assume(abs(q - round(q)) > 1e-7)
     moved = [(x - t * v[0], y - t * v[1]) for x, y in positions]
-    s_t = sample_field_at(field, (0.0, 0.0), truth, t, positions)
-    s_0 = sample_field_at(field, (0.0, 0.0), truth, 0, moved)
-    assert [s[2] for s in s_t.sensors] == [s[2] for s in s_0.sensors]
+    s_t = _sampled_pixels(fields, (0.0, 0.0), truth, t, positions)
+    s_0 = _sampled_pixels(fields, (0.0, 0.0), truth, 0, moved)
+    assert s_t == s_0
 
 
 # ------------------------------------------------------------ run_transit
@@ -240,7 +256,7 @@ def _gradient_field(side=1024):
     ramp = np.linspace(1.2, 0.09, 240, dtype=np.float32)
     kstar[:, 700:940] = ramp[None, :]
     kstar[:, 940:] = 0.09
-    return ClearSkyField(kstar=kstar, side_px=side, pixel_size_m=1.0)
+    return _field(kstar)
 
 
 def test_fully_clear_field_never_valid():
@@ -278,7 +294,7 @@ def test_new_vehicle_modal_rule():
     side = 1024
     kstar = np.full((side, side), 1.2, dtype=np.float32)
     kstar[:, 300:] = 0.09
-    field = ClearSkyField(kstar=kstar, side_px=side, pixel_size_m=1.0)
+    field = _field(kstar)
     truth = MotionTruth(0.0, 0.0)
     recs = []
     for t in range(151):
