@@ -3,7 +3,10 @@
 
 Builds the criterion-3 scenario once (2048 px field, 100-vehicle fleet on
 600 m x 900 m, dmin 10 m, time step 10 s, 1 s sampling), timing the whole
-set-up and the field on its own, then for each
+set-up and the field on its own.  Two set-up stages are timed apart from
+it: the fractal surface alone (the rest of the field time is the median
+and the level map), and load_trajectories reading the fleet back from a
+temporary CSV, as the CLI does.  Then for each
 truth-draw seed and penetration rate (0.1 and 1.0) times the three
 per-simulation stages with time.perf_counter: run_transit, grid_series
 and search_cmv.
@@ -20,16 +23,23 @@ import json
 import os
 import platform
 import resource
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
 from cloudmotion.cmae import InsufficientPairsError, search_cmv
-from cloudmotion.fleet import subsample_by_penetration
-from cloudmotion.fractal_field import auto_pixel_size, make_clearsky_field, required_field_side
+from cloudmotion.fleet import load_trajectories, subsample_by_penetration
+from cloudmotion.fractal_field import (
+    auto_pixel_size,
+    generate_fractal,
+    make_clearsky_field,
+    required_field_side,
+)
 from cloudmotion.geometry import Rect
 from cloudmotion.gridding import GridSpec, grid_series
-from cloudmotion.synth import random_walk_fleet
+from cloudmotion.synth import random_walk_fleet, write_trajectories_csv
 from cloudmotion.transit import TransitConfig, draw_truth, run_transit
 
 # The criterion-3 scenario of tests/test_acceptance.py (field size and
@@ -55,6 +65,11 @@ def run(seeds, prs) -> dict:
     fleet = random_walk_fleet(100, BOUNDS, DURATION_S, seed=42)
     ds_by_pr = {pr: subsample_by_penetration(fleet, pr, 0) for pr in prs}
     setup_s = round(time.perf_counter() - t0, 4)
+    _, fractal_s = _timed(generate_fractal, 2048, 1.5, seed=7)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "fleet.csv"
+        write_trajectories_csv(fleet, csv)
+        _, load_s = _timed(load_trajectories, csv, BOUNDS)
 
     records = []
     for seed in seeds:
@@ -85,6 +100,8 @@ def run(seeds, prs) -> dict:
                      "dmin": DMIN, "timestep_s": TIMESTEP_S, "duration_s": DURATION_S},
         "setup_s": setup_s,
         "field_s": field_s,
+        "fractal_s": fractal_s,
+        "load_s": load_s,
         "totals_s": {s: round(sum(r[s] or 0.0 for r in records), 4) for s in stages},
         "records": records,
     }

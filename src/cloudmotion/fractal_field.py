@@ -8,10 +8,11 @@ stored as 8-bit levels.
 
 The field is built in one (n+1)^2 float32 grid plus its uint8 levels:
 the recursion works in place, the median needs no copy, and the steps
-after it run on blocks of _BLOCK_ROWS rows.  Measured with numpy 2.4: at
-1024 px the tracemalloc peak is 2.5x a float32 raster's bytes (3.5x with
-a float32 field, 10.8x with full-raster steps); a fresh process building
-a 4096 px field peaks at 138 MB RSS (224 and 727 MB before).
+after it run on blocks of _BLOCK_ROWS rows, in float only inside the
+transition band.  Measured with numpy 2.4: at 1024 px the tracemalloc peak
+is 1.6x a float32 raster's bytes (2.5x with every pixel in float, 10.8x
+with full-raster steps); a 4096 px field peaks at 122 MB RSS in a fresh
+process (138, 224 and 727 MB before).
 """
 from __future__ import annotations
 
@@ -25,10 +26,10 @@ KSTAR_MAX = 1.2
 CLOUD_INDEX_MIN = -0.2
 CLOUD_INDEX_MAX = 1.2
 
-# Rows per block of the median's passes and the elementwise steps after
-# it.  At 4096 px those steps took 1.07 s with 32-row blocks, 0.88 s with
-# 128, 1.29 s with 512 and 1.85 s unblocked; the median 0.09 s with 64 or
-# 128, 0.11 s with 256 and 0.14 s for np.median (2-core Xeon, numpy 2.4).
+# Rows per block of the median's passes and the level map after it.  At
+# 4096 px the map took 0.10 s with 64 or 128 rows and 0.11-0.12 s with 256
+# (0.50-0.55 s with every pixel in float), the median 0.10-0.13, 0.10 and
+# 0.11 s for those sizes (np.median 0.14 s); 2-core Xeon, numpy 2.4.
 _BLOCK_ROWS = 128
 
 # Quadratic branch coefficients of the cloud-index -> clear-sky-index map.
@@ -286,7 +287,9 @@ def make_clearsky_field(
     """Full generation pipeline: fractal -> cloud index -> float32 k* -> levels.
 
     Every step after the median runs on one block of rows at a time, so no
-    cloud-index, k* or float64 full raster is built.
+    cloud-index, k* or float64 full raster is built.  Only pixels inside the
+    band (and NaNs) run the float steps; the rest take the plateau levels,
+    found at -inf and +inf since float32 may round both band edges to t.
     """
     surf = generate_fractal(side_px, fractal_dimension, seed)
     t = _median_threshold(surf, transition_halfwidth)
@@ -295,5 +298,14 @@ def make_clearsky_field(
         n = _cloud_index_rows(v, t, transition_halfwidth)
         return kstar_to_levels(cloud_to_clearsky(n).astype(np.float32))
 
-    levels = _map_rows(surf.values, rows, np.uint8)
+    clear, cloudy = rows(np.array([-np.inf, np.inf], dtype=surf.values.dtype))
+
+    def band_rows(v):
+        above = v >= t + transition_halfwidth
+        inside = ~(above | (v <= t - transition_halfwidth))
+        out = np.where(above, cloudy, clear)
+        out[inside] = rows(v[inside])
+        return out
+
+    levels = _map_rows(surf.values, band_rows, np.uint8)
     return ClearSkyField(levels=levels, side_px=side_px, pixel_size_m=pixel_size_m)

@@ -65,11 +65,6 @@ class GridSpec:
         ys = self.bounds.y0 + np.arange(self.ny) * self.dmin
         return xs, ys
 
-    def points(self) -> tuple:
-        """Flattened grid coordinates (gx, gy), row-major over (iy, ix)."""
-        gx, gy = np.meshgrid(*self.axes())
-        return gx.ravel(), gy.ravel()
-
 
 @dataclass(frozen=True)
 class GridSnapshot:

@@ -57,11 +57,3 @@ def write_clearsky_pgm(field: ClearSkyField, path) -> None:
     """8-bit field export: PGM levels plus a sidecar holding pixel_size_m."""
     write_pgm(path, field.levels)
     sidecar_path(path).write_text(f"{field.pixel_size_m:g}\n")
-
-
-def read_clearsky_pgm(path) -> ClearSkyField:
-    levels = read_pgm(path)
-    if levels.shape[0] != levels.shape[1]:
-        raise ValueError(f"{path}: clear-sky fields are square rasters")
-    pixel_size = float(sidecar_path(path).read_text().split()[0])
-    return ClearSkyField(levels=levels, side_px=levels.shape[0], pixel_size_m=pixel_size)

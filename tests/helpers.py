@@ -1,7 +1,18 @@
 """Shared test constructions: exact-translation grid series and friends."""
 import numpy as np
 
+from cloudmotion.fractal_field import ClearSkyField
 from cloudmotion.gridding import GridSnapshot
+from cloudmotion.rasters import read_pgm, sidecar_path
+
+
+def read_clearsky_pgm(path):
+    """ClearSkyField of a PGM and its pixel-size sidecar, as write_clearsky_pgm writes them."""
+    levels = read_pgm(path)
+    if levels.shape[0] != levels.shape[1]:
+        raise ValueError(f"{path}: clear-sky fields are square rasters")
+    pixel_size = float(sidecar_path(path).read_text().split()[0])
+    return ClearSkyField(levels=levels, side_px=levels.shape[0], pixel_size_m=pixel_size)
 
 
 def translation_grids(seed, ny, nx, dx, dy, n_snaps, spacing_s=10, low=0.09, high=1.2):

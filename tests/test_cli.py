@@ -7,8 +7,8 @@ import cloudmotion.cli as cli
 from cloudmotion.cli import ConfigError, main, parse_config
 from cloudmotion.fleet import ShadowMask, write_shadow_mask
 from cloudmotion.geometry import Rect
-from cloudmotion.rasters import read_clearsky_pgm
 from cloudmotion.synth import random_walk_fleet, write_trajectories_csv
+from helpers import read_clearsky_pgm
 
 BOUNDS = Rect(0.0, 0.0, 300.0, 300.0)
 

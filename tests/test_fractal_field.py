@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cloudmotion import fractal_field
 from cloudmotion.fractal_field import (
     _LEVEL_KSTAR,
     DegenerateSurfaceError,
@@ -364,8 +365,8 @@ def test_pipeline_validation_order():
 
 def test_pipeline_peak_memory():
     # float64 temporaries the size of the raster would take 2x its float32
-    # bytes each; the peak is the fractal grid, the uint8 levels and the
-    # median's or the level map's per-block temporaries
+    # bytes each; the peak is the fractal grid plus the median's per-block
+    # temporaries, 1.75x at this size (the band-only level map stays below it)
     side = 1024
     tracemalloc.start()
     try:
@@ -425,3 +426,78 @@ def test_levels_same_for_either_median(side, seed):
     n = _cloud_index_rows(surf.values, np.median(surf.values), 0.15)
     want = kstar_to_levels(cloud_to_clearsky(n).astype(np.float32))
     assert make_clearsky_field(side, 1.5, seed).levels.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------- band-only level map
+#
+# make_clearsky_field runs the float steps only inside the transition
+# band and gives every other pixel a plateau level; these hand-built
+# surfaces put values on and next to the band edges, on the branch points
+# of cloud_to_clearsky, and in bands that are empty or cover everything.
+
+def _ulps(v, k):
+    """The 2k + 1 float32 values from k ulps below a positive v to k above it."""
+    bits = np.float32(v).reshape(1).view(np.int32)
+    return (bits + np.arange(-k, k + 1, dtype=np.int32)).view(np.float32)
+
+
+def _around_half(specials, side=16):
+    """side x side float32 surface of the specials, padded with 0.5 so its median is 0.5."""
+    vals = np.full(side * side, 0.5, dtype=np.float32)
+    vals[: len(specials)] = specials
+    return vals.reshape(side, side)
+
+
+def _band_levels(monkeypatch, values, halfwidth):
+    """make_clearsky_field's levels for a hand-built surface, checked against the float oracle."""
+    side = values.shape[0]
+    surf = FractalSurface(values, side, 1.5)
+    monkeypatch.setattr(fractal_field, "generate_fractal", lambda *args: surf)
+    got = make_clearsky_field(side, 1.5, 0, transition_halfwidth=halfwidth).levels
+    want = kstar_to_levels(clearsky_field(to_cloud_index(surf, halfwidth)).kstar)
+    assert got.dtype == want.dtype == np.uint8
+    assert np.array_equal(got, want)
+    return got
+
+
+def test_band_levels_at_band_edges(monkeypatch):
+    h = 0.15
+    lo, hi = np.float32(0.5) - h, np.float32(0.5) + h  # the float32 edges the pipeline uses
+    specials = np.concatenate([_ulps(lo, 1), _ulps(hi, 1)])
+    values = _around_half(specials)
+    assert _median_threshold(FractalSurface(values, 16, 1.5), h) == np.float32(0.5)
+    got = _band_levels(monkeypatch, values, h).ravel()
+    assert got[:2].tolist() == [255, 255]  # at or below t - h: fully clear
+    assert got[4:6].tolist() == [0, 0]  # at or above t + h: fully cloudy
+
+
+def test_band_levels_at_clearsky_branch_points(monkeypatch):
+    h = 0.15
+    # surface values whose cloud index is 0.8 and 1.05, +-8 ulps each
+    v08 = _ulps(0.5 - h + 2 * h * 1.0 / 1.4, 8)
+    v105 = _ulps(0.5 - h + 2 * h * 1.25 / 1.4, 8)
+    got = _band_levels(monkeypatch, _around_half(np.concatenate([v08, v105])), h).ravel()
+    # the ~5e-3 k* jump at n = 0.8 lifts the level by one as v rises past it
+    assert np.any(np.diff(got[:17].astype(int)) > 0)
+
+
+@pytest.mark.parametrize("halfwidth,in_band", [(1e-12, 0), (1e-7, 1), (50.0, 33 * 33)])
+def test_band_levels_empty_and_full_band(monkeypatch, halfwidth, in_band):
+    # 1e-12: float32 rounds both band edges to t, so the band is empty and
+    # the median pixel is cloudy; 1e-7: only the median pixel is inside;
+    # 50: the band covers every pixel
+    values = np.random.default_rng(3).standard_normal((33, 33), dtype=np.float32)
+    t = _median_threshold(FractalSurface(values, 33, 1.5), halfwidth)
+    assert (t - halfwidth == t + halfwidth) == (halfwidth == 1e-12)
+    got = _band_levels(monkeypatch, values, halfwidth)
+    assert np.count_nonzero(~np.isin(got, [0, 255])) == in_band
+
+
+def test_band_levels_partial_row_block(monkeypatch):
+    # 200 rows: one full 128-row block and a partial one; NaNs take the
+    # float steps, whose default branch gives level 0
+    values = np.random.default_rng(5).standard_normal((200, 200), dtype=np.float32)
+    values[[3, 150], [7, 190]] = np.nan
+    got = _band_levels(monkeypatch, values, 0.15)
+    assert got[3, 7] == got[150, 190] == 0
+    assert np.count_nonzero(~np.isin(got, [0, 255])) > 1000

@@ -17,6 +17,12 @@ def _snap(sensors, t=0):
     return SensorSnapshot(t=t, sensors=tuple(sensors))
 
 
+def _points(spec):
+    """Flattened grid coordinates (gx, gy), row-major over (iy, ix)."""
+    gx, gy = np.meshgrid(*spec.axes())
+    return gx.ravel(), gy.ravel()
+
+
 def _point_spec():
     # single grid point at (0, 0)
     return GridSpec(Rect(0.0, 0.0, 1.0, 1.0), dmin=10.0)
@@ -33,7 +39,7 @@ def test_grid_spec_dimensions():
 
 def test_grid_points_anchored_lower_left():
     spec = GridSpec(Rect(5.0, 7.0, 25.0, 17.0), 10.0)
-    gx, gy = spec.points()
+    gx, gy = _points(spec)
     assert gx.min() == 5.0 and gy.min() == 7.0
     assert gx.max() == 25.0 and gy.max() == 17.0
 
@@ -124,7 +130,7 @@ def _idw_reference(sensors, spec, k):
     """Brute force: stable argsort per grid point, sequential weighted sums."""
     arr = np.asarray(sensors, dtype=np.float64)
     arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
-    gx, gy = spec.points()
+    gx, gy = _points(spec)
     out = np.empty(gx.size)
     for g in range(gx.size):
         d2 = (gx[g] - arr[:, 0]) ** 2 + (gy[g] - arr[:, 1]) ** 2

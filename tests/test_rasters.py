@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from cloudmotion.fractal_field import kstar_to_levels, levels_to_kstar, make_clearsky_field
-from cloudmotion.rasters import (
-    read_clearsky_pgm,
-    read_pgm,
-    write_clearsky_pgm,
-    write_pgm,
-)
+from cloudmotion.rasters import read_pgm, write_clearsky_pgm, write_pgm
+from helpers import read_clearsky_pgm
 
 
 def test_pgm_round_trip(tmp_path):
