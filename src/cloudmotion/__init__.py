@@ -29,7 +29,6 @@ from .fleet import (
 )
 from .fractal_field import (
     ClearSkyField,
-    FractalSurface,
     cloud_to_clearsky,
     generate_fractal,
     make_clearsky_field,
@@ -53,7 +52,6 @@ __all__ = [
     "ClearSkyField",
     "CmaeSurface",
     "CmvEstimate",
-    "FractalSurface",
     "GridSnapshot",
     "GridSpec",
     "MeasurementSeries",

@@ -116,11 +116,16 @@ def _check_inputs(paths: dict) -> None:
         raise FileNotFoundError("missing input files: " + "; ".join(missing))
 
 
+def _power_of_two(cfg: dict, key: str) -> int:
+    side = _get(cfg, key, int)
+    if side < 2 or side & (side - 1) != 0:
+        raise ConfigError(f"{key} must be a power of two, got {side}")
+    return side
+
+
 def cmd_genfield(args) -> int:
     cfg = parse_config(args.config)
-    side = _get(cfg, "side_px", int)
-    if side < 2 or side & (side - 1) != 0:
-        raise ConfigError(f"side_px must be a power of two, got {side}")
+    side = _power_of_two(cfg, "side_px")
     seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
     field = make_clearsky_field(
         side_px=side,
@@ -170,9 +175,7 @@ def _load_scenario(cfg: dict):
 
 
 def _build_field(cfg: dict, bounds: Rect, duration_s: int, seed: int):
-    side = _get(cfg, "field_side_px", int)
-    if side < 2 or side & (side - 1) != 0:
-        raise ConfigError(f"field_side_px must be a power of two, got {side}")
+    side = _power_of_two(cfg, "field_side_px")
     required = required_field_side(duration_s, SPEED_MAX_MPS, bounds.diagonal)
     pixel = _get(cfg, "field_pixel_size_m", float, auto_pixel_size(side, required))
     if side * pixel < required:

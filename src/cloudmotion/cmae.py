@@ -8,13 +8,13 @@ velocity and direction estimate.  accumulate_cmae computes the whole error
 surface; search_cmv reaches the same estimate while most candidates get
 only cheap lower bounds.
 
-search_cmv is exact successive elimination over a four-level pyramid of
-lower bounds, each tighter and dearer than the last: the all-pairs bound
-(sums over every pair), the block bound (sums over chunks of
-_CHUNK_PAIRS consecutive pairs and _BLOCK x _BLOCK cell blocks), the chunk
-bound (chunk sums per cell) and partial distortion, which replaces the
-chunk bound terms by exact chunk SADs one chunk at a time.  A candidate
-that survives all four gets its exact SAD from the kernel accumulate_cmae
+search_cmv is exact successive elimination over a three-level pyramid
+of lower bounds, each tighter and dearer than the last: the all-pairs
+bound (sums over every pair), the block bound (sums over chunks of
+_CHUNK_PAIRS consecutive pairs and _BLOCK x _BLOCK cell blocks) and
+partial distortion, which adds exact chunk SADs one chunk at a time to
+the per-cell bound terms of the chunks still to come.  A candidate that
+survives all three gets its exact SAD from the kernel accumulate_cmae
 uses.
 """
 from __future__ import annotations
@@ -31,11 +31,11 @@ V_CAP_MPS = 40.0
 MIN_OVERLAP_FRACTION = 0.1
 # search_cmv prunes a candidate only when a lower bound on its CMAE is above
 # the third-best CMAE by this relative slack.  The bounds are the all-pairs
-# bound, the block bound, the chunk bound (per chunk of _CHUNK_PAIRS
-# consecutive pairs) and, in partial distortion, the exact SAD of the first
-# chunks plus the chunk bound terms of the rest.  The SAD rounds each
-# |a - b| to float32 (relative error under 6e-8) before summing in float64,
-# and so do the exact chunk parts; every bound term subtracts float64 sums
+# bound, the block bound and, in partial distortion, the exact SAD of the
+# first chunks plus the per-cell bound terms of the rest (per chunk of
+# _CHUNK_PAIRS consecutive pairs).  The SAD rounds each |a - b| to float32
+# (relative error under 6e-8) before summing in float64, and so do the
+# exact chunk parts; every bound term subtracts float64 sums
 # (over pairs, and over block cells) of the same float32 values.  So a
 # computed bound, mixed or not, can exceed the computed CMAE it bounds by
 # far less than 1e-3 relative: rounding cannot drop a true top-3 candidate
@@ -45,8 +45,8 @@ _CHUNK_PAIRS = 8
 _BLOCK = 3  # side in cells of the blocks of search_cmv's block bound
 # the counters search_cmv writes to its stats dict
 _STATS_KEYS = (
-    "candidates", "bounds_all_pairs", "bounds_block", "bounds_chunk",
-    "rejected_all_pairs", "rejected_block", "rejected_chunk", "rejected_partial",
+    "candidates", "bounds_all_pairs", "bounds_block",
+    "rejected_all_pairs", "rejected_block", "rejected_partial",
     "partial_chunks", "full_sads",
 )
 
@@ -90,12 +90,11 @@ def displacement_candidates(
     dmin: float,
     timestep_s: float,
     v_cap: float = V_CAP_MPS,
-    min_overlap_frac: float = MIN_OVERLAP_FRACTION,
 ) -> np.ndarray:
     """All integer displacements within the speed cap and overlap floor.
 
     Rows are (dx, dy), ordered by dy then dx.  The overlap floor drops
-    shifts whose overlap falls below min_overlap_frac of the grid, where a
+    shifts whose overlap falls below MIN_OVERLAP_FRACTION of the grid, where a
     handful of cells would make the MAE meaninglessly noisy.
     """
     r = int(math.floor(v_cap * timestep_s / dmin))
@@ -103,7 +102,7 @@ def displacement_candidates(
     dxs, dys = dxs.ravel(), dys.ravel()
     speed = dmin * np.hypot(dxs, dys) / timestep_s
     overlap = np.maximum(nx - np.abs(dxs), 0) * np.maximum(ny - np.abs(dys), 0)
-    keep = (speed <= v_cap) & (overlap >= min_overlap_frac * nx * ny) & (overlap > 0)
+    keep = (speed <= v_cap) & (overlap >= MIN_OVERLAP_FRACTION * nx * ny) & (overlap > 0)
     return np.column_stack([dxs[keep], dys[keep]])
 
 
@@ -114,7 +113,7 @@ def _overlap_slices(nx: int, ny: int, dx: int, dy: int) -> tuple:
     return (slice(ay0, ay1), slice(ax0, ax1)), (slice(ay0 + dy, ay1 + dy), slice(ax0 + dx, ax1 + dx))
 
 
-def _search_space(grids, timestep_s, dmin, v_cap, min_overlap_frac) -> tuple:
+def _search_space(grids, timestep_s, dmin, v_cap) -> tuple:
     """(a_stack, b_stack, candidates, overlap cells per candidate).
 
     The stacks are float32 (pairs, ny, nx) arrays of every (t, t +
@@ -141,7 +140,7 @@ def _search_space(grids, timestep_s, dmin, v_cap, min_overlap_frac) -> tuple:
     a_stack = np.stack([grids[i].values for i in pair_idx], dtype=np.float32)
     b_stack = np.stack([grids[i + step].values for i in pair_idx], dtype=np.float32)
 
-    cands = displacement_candidates(nx, ny, dmin, timestep_s, v_cap, min_overlap_frac)
+    cands = displacement_candidates(nx, ny, dmin, timestep_s, v_cap)
     if cands.shape[0] == 0:
         raise InsufficientPairsError("no admissible displacement on this grid")
     n_cells = (nx - np.abs(cands[:, 0])) * (ny - np.abs(cands[:, 1]))
@@ -168,16 +167,13 @@ def accumulate_cmae(
     timestep_s: int,
     dmin: float,
     v_cap: float = V_CAP_MPS,
-    min_overlap_frac: float = MIN_OVERLAP_FRACTION,
 ) -> CmaeSurface:
     """Accumulate per-pair MAEs over every (t, t + timestep_s) pair.
 
     This is the exhaustive search: every admissible displacement gets its
     CMAE.  search_cmv gives the same estimate while skipping most of them.
     """
-    a_stack, b_stack, cands, n_cells = _search_space(
-        grids, timestep_s, dmin, v_cap, min_overlap_frac
-    )
+    a_stack, b_stack, cands, n_cells = _search_space(grids, timestep_s, dmin, v_cap)
     cmae = _sad_sums(a_stack, b_stack, cands) / n_cells
     return CmaeSurface(displacements=cands, cmae=cmae, pair_count=a_stack.shape[0])
 
@@ -253,6 +249,8 @@ def _partial_rejects(a_stack, b_stack, dx, dy, terms, limit_sum, counts) -> bool
 
     Adds the exact SAD chunk by chunk and reports whether the exact part
     plus the chunk terms of the chunks still to come exceeds limit_sum.
+    Its first sum is already at least terms.sum(), the chunk bound, since
+    a chunk's exact SAD is at least its term.
     The last chunk is never summed here: a candidate that gets that far
     gets its value from _sad_sums, whose rounding the chunked sum does not
     share.
@@ -277,7 +275,6 @@ def search_cmv(
     timestep_s: int,
     dmin: float,
     v_cap: float = V_CAP_MPS,
-    min_overlap_frac: float = MIN_OVERLAP_FRACTION,
     stats: Optional[dict] = None,
 ) -> CmvEstimate:
     """estimate_cmv(accumulate_cmae(...)), bit for bit, by successive elimination.
@@ -285,11 +282,11 @@ def search_cmv(
     Every candidate gets the all-pairs bound of _bounds.  Candidates are
     taken in increasing order of it, and the search stops once it is above
     the third-best exact CMAE.  With more than one chunk of _CHUNK_PAIRS
-    pairs, a candidate below that limit must then pass three more tests,
-    each tighter and dearer than the last: the block bound of _block_term,
-    the chunk bound of _chunk_terms, and partial distortion, which swaps
-    chunk terms for exact chunk SADs one chunk at a time.  A candidate that
-    passes all of them gets its exact CMAE from the same kernel
+    pairs, a candidate below that limit must then pass two more tests,
+    the second tighter and dearer than the first: the block bound of
+    _block_term, and partial distortion, which swaps the per-cell chunk
+    terms of _chunk_terms for exact chunk SADs one chunk at a time.  A
+    candidate that passes both gets its exact CMAE from the same kernel
     accumulate_cmae uses.  Every candidate that could enter the top three,
     ties included, is therefore evaluated, and n_candidates still counts
     the whole admissible set.
@@ -298,9 +295,7 @@ def search_cmv(
     bounds computed and candidates rejected at each level, chunks summed by
     partial distortion and full exact SADs (the keys of _STATS_KEYS).
     """
-    a_stack, b_stack, cands, n_cells = _search_space(
-        grids, timestep_s, dmin, v_cap, min_overlap_frac
-    )
+    a_stack, b_stack, cands, n_cells = _search_space(grids, timestep_s, dmin, v_cap)
     _, ny, nx = a_stack.shape
     a_chunks, b_chunks = _chunk_sums(a_stack), _chunk_sums(b_stack)
     bound = _bounds(a_chunks.sum(axis=0)[None], b_chunks.sum(axis=0)[None], cands, n_cells)
@@ -323,11 +318,7 @@ def search_cmv(
                 if _block_term(*blocks, ny, nx, dx, dy) / n > limit:
                     counts["rejected_block"] += 1
                     continue
-                counts["bounds_chunk"] += 1
                 terms = _chunk_terms(a_chunks, b_chunks, dx, dy)
-                if terms.sum() / n > limit:
-                    counts["rejected_chunk"] += 1
-                    continue
                 if _partial_rejects(a_stack, b_stack, dx, dy, terms, limit * n, counts):
                     counts["rejected_partial"] += 1
                     continue
@@ -339,7 +330,7 @@ def search_cmv(
     if stats is not None:
         counts["candidates"] = counts["bounds_all_pairs"] = cands.shape[0]
         counts["rejected_all_pairs"] = cands.shape[0] - sum(
-            counts[k] for k in ("rejected_block", "rejected_chunk", "rejected_partial", "full_sads")
+            counts[k] for k in ("rejected_block", "rejected_partial", "full_sads")
         )
         stats.update(counts)
     partial = CmaeSurface(cands[evaluated], np.array(values), pair_count=a_stack.shape[0])

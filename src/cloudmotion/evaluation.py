@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cmae import InsufficientPairsError, invalid_estimate, search_cmv
+from .cmae import V_CAP_MPS, InsufficientPairsError, invalid_estimate, search_cmv
 # The exhaustive pair stays importable here: perfbench/run.py --trace 1
 # wraps these names on this module.
 from .cmae import accumulate_cmae, estimate_cmv  # noqa: F401
@@ -22,7 +22,7 @@ from .fleet import ShadowMask, TrajectoryDataset, subsample_by_penetration
 from .fractal_field import ClearSkyField
 from .geometry import Rect
 from .gridding import GridSpec, grid_series
-from .transit import SPEED_MAX_MPS, MeasurementSeries, TransitConfig, draw_truth, is_valid_event, run_transit
+from .transit import SPEED_MAX_MPS, TransitConfig, draw_truth, is_valid_event, run_transit
 
 
 class UndefinedStatisticError(ValueError):
@@ -59,7 +59,6 @@ class CampaignConfig:
     sampling_period_s: int = 1
     duration_s: int = 300
     k_neighbors: int = 3
-    v_cap: float = 40.0
     min_variability_s: int = 60
 
     def __post_init__(self) -> None:
@@ -71,8 +70,8 @@ class CampaignConfig:
             raise ValueError("sampling_period_s must be positive")
         if any(ts <= 0 for ts in self.timestep_list):
             raise ValueError("timesteps must be positive")
-        if any(d <= 0 for d in self.dmin_list):
-            raise ValueError("dmin values must be positive")
+        if not all(0 < d < np.inf for d in self.dmin_list):
+            raise ValueError("dmin values must be positive and finite")
         shorter = min(self.bounds.width, self.bounds.height)
         limit = shorter / SPEED_MAX_MPS
         for ts in self.timestep_list:
@@ -95,7 +94,6 @@ class TransitOutcome:
     truth_speed: float
     truth_direction: float
     valid_event: bool
-    active_median: int
     estimates: dict  # (dmin, timestep) -> CmvEstimate
 
 
@@ -110,7 +108,6 @@ class CellResult:
 @dataclass(frozen=True)
 class CampaignResult:
     cells: dict  # (dmin, timestep, pr) -> CellResult
-    n_simulations: int
 
     def cell(self, dmin, timestep, pr) -> CellResult:
         return self.cells[(float(dmin), int(timestep), float(pr))]
@@ -139,13 +136,12 @@ def _simulate_one(sim_index: int) -> dict:
     for pr, ds in ds_by_pr.items():
         series = run_transit(cfg.field, ds, cfg.mask, truth, tcfg)
         valid_event = is_valid_event(series, cfg.bounds, cfg.min_variability_s)
-        active_median = _median_sensor_count(series)
         estimates = {}
         for dmin in cfg.dmin_list:
             grids = grid_series(series, GridSpec(cfg.bounds, dmin), cfg.k_neighbors)
             for ts in cfg.timestep_list:
                 try:
-                    est = search_cmv(grids, ts, dmin, cfg.v_cap)
+                    est = search_cmv(grids, ts, dmin)
                 except InsufficientPairsError:
                     est = invalid_estimate()
                 estimates[(float(dmin), int(ts))] = est
@@ -153,15 +149,9 @@ def _simulate_one(sim_index: int) -> dict:
             truth_speed=truth.speed,
             truth_direction=truth.direction_deg,
             valid_event=valid_event,
-            active_median=active_median,
             estimates=estimates,
         )
     return out
-
-
-def _median_sensor_count(series: MeasurementSeries) -> int:
-    counts = sorted(len(s.sensors) for s in series.snapshots)
-    return counts[(len(counts) - 1) // 2]
 
 
 def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
@@ -200,7 +190,7 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
                 for i, sim in enumerate(per_sim):
                     oc: TransitOutcome = sim[float(pr)]
                     est = oc.estimates[(float(dmin), int(ts))]
-                    capped = bool(est.valid and est.speed >= cfg.v_cap - dmin / ts)
+                    capped = bool(est.valid and est.speed >= V_CAP_MPS - dmin / ts)
                     scatter.append(
                         (i, oc.truth_speed, oc.truth_direction,
                          est.speed, est.direction_deg, oc.valid_event, capped)
@@ -215,7 +205,7 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
                     n_valid=n_valid,
                     scatter=tuple(scatter),
                 )
-    return CampaignResult(cells=cells, n_simulations=cfg.n_simulations)
+    return CampaignResult(cells=cells)
 
 
 def write_results_csv(result: CampaignResult, path) -> None:

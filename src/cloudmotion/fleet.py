@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import Rect
-from .rasters import read_pgm, write_pgm
+from .rasters import read_pgm, sidecar_path
 
 
 class TrajectoryParseError(ValueError):
@@ -94,9 +94,6 @@ class TrajectoryDataset:
     @property
     def duration_s(self) -> int:
         return self.window[1] - self.window[0]
-
-    def unique_ids(self) -> np.ndarray:
-        return np.unique(self.table["vehicle_id"])
 
     def records_at(self, t: int) -> np.ndarray:
         """Records at t, id-sorted: a structured array of vehicle_id, t, x, y."""
@@ -206,7 +203,7 @@ def subsample_by_penetration(ds: TrajectoryDataset, pr: float, seed: int) -> Tra
         raise ValueError(f"penetration rate must be in (0, 1], got {pr}")
     if pr == 1.0:
         return ds
-    ids = ds.unique_ids()
+    ids = np.unique(ds.table["vehicle_id"])
     k = int(np.floor(pr * len(ids) + 0.5))
     order = np.random.default_rng(seed).permutation(len(ids))
     keep = np.isin(ds.table["vehicle_id"], ids[order[:k]])
@@ -230,25 +227,18 @@ def active_sensor_records(
     return recs["vehicle_id"], np.column_stack([recs["x"], recs["y"]])
 
 
-def load_shadow_mask(pgm_path, sidecar: Optional[str] = None) -> ShadowMask:
+def load_shadow_mask(pgm_path) -> ShadowMask:
     """Read a shadow mask: PGM levels < 128 are shadowed, >= 128 lit.
 
-    The sidecar (default: the .txt next to the PGM) holds one line
+    The sidecar (the .txt next to the PGM) holds one line
     'origin_x origin_y pixel_size'.
     """
-    pgm_path = Path(pgm_path)
     levels = read_pgm(pgm_path)
-    sidecar = Path(sidecar) if sidecar else pgm_path.with_suffix(".txt")
+    sidecar = sidecar_path(pgm_path)
     parts = sidecar.read_text().split()
     if len(parts) != 3:
         raise ValueError(f"{sidecar}: expected 'origin_x origin_y pixel_size'")
     x0, y0, pix = (float(p) for p in parts)
+    if not 0 < pix < np.inf:
+        raise ValueError(f"{sidecar}: pixel size must be positive and finite, got {pix}")
     return ShadowMask(mask=levels < 128, origin=(x0, y0), pixel_size_m=pix)
-
-
-def write_shadow_mask(mask: ShadowMask, pgm_path) -> None:
-    levels = np.where(mask.mask, 0, 255).astype(np.uint8)
-    write_pgm(pgm_path, levels)
-    Path(pgm_path).with_suffix(".txt").write_text(
-        f"{mask.origin[0]:g} {mask.origin[1]:g} {mask.pixel_size_m:g}\n"
-    )

@@ -47,30 +47,15 @@ class DegenerateSurfaceError(ValueError):
 
 
 @dataclass(frozen=True)
-class FractalSurface:
-    """Square fractal surface from midpoint displacement.
-
-    values are dimensionless float32; roughness is controlled by
-    fractal_dimension D in (1, 2) via the per-level amplitude decay
-    2**-(3 - D).
-    """
-
-    values: np.ndarray
-    side_px: int
-    fractal_dimension: float
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (self.side_px, self.side_px):
-            raise ValueError("surface is not square with the declared side")
-
-
-@dataclass(frozen=True)
 class ClearSkyField:
     """Clear-sky-index raster as uint8 levels (kstar_to_levels) with world-space pixel size."""
 
     levels: np.ndarray
-    side_px: int
     pixel_size_m: float
+
+    @property
+    def side_px(self) -> int:
+        return self.levels.shape[0]
 
     @property
     def kstar(self) -> np.ndarray:
@@ -102,13 +87,15 @@ def _edge_means(out, corners, diam) -> None:
     out[:, [0, -1]] /= 3
 
 
-def generate_fractal(side_px: int, fractal_dimension: float, seed: int) -> FractalSurface:
+def generate_fractal(side_px: int, fractal_dimension: float, seed: int) -> np.ndarray:
     """Generate a square fractal surface by diamond-square recursion.
 
-    The surface is built on a (2**k + 1) grid; a power-of-two side gets a
-    view of its first side_px rows and columns.  Gaussian displacements
-    shrink by 2**-(3 - fractal_dimension) per subdivision level.  Output is
-    reproducible bit for bit for a fixed (side_px, fractal_dimension, seed).
+    Returns dimensionless float32 values, side_px x side_px.  The surface
+    is built on a (2**k + 1) grid; a power-of-two side gets a view of its
+    first side_px rows and columns.  Roughness is set by the fractal
+    dimension D in (1, 2): Gaussian displacements shrink by 2**-(3 - D)
+    per subdivision level.  Output is reproducible bit for bit for a fixed
+    (side_px, fractal_dimension, seed).
     """
     k = _admissible_grid_exponent(side_px)
     if not 1.0 < fractal_dimension < 2.0:
@@ -163,7 +150,7 @@ def generate_fractal(side_px: int, fractal_dimension: float, seed: int) -> Fract
 
         step = half
 
-    return FractalSurface(grid[:side_px, :side_px], side_px, fractal_dimension)
+    return grid[:side_px, :side_px]
 
 
 def _map_rows(src: np.ndarray, fn, dtype) -> np.ndarray:
@@ -200,11 +187,10 @@ def _median(v: np.ndarray):
     return np.sort(np.concatenate(picked))[ranks[0] - before : ranks[1] - before + 1].mean()
 
 
-def _median_threshold(surface: FractalSurface, transition_halfwidth: float):
-    """Validated median of the surface, the one global step of the pipeline."""
-    if transition_halfwidth <= 0:
-        raise ValueError("transition_halfwidth must be positive")
-    v = surface.values
+def _median_threshold(v: np.ndarray, transition_halfwidth: float):
+    """Validated median of the surface values, the one global step of the pipeline."""
+    if not 0 < transition_halfwidth < np.inf:
+        raise ValueError("transition_halfwidth must be positive and finite")
     if v.min() == v.max():
         raise DegenerateSurfaceError("all surface values equal; median separates nothing")
     return _median(v)
@@ -291,6 +277,8 @@ def make_clearsky_field(
     band (and NaNs) run the float steps; the rest take the plateau levels,
     found at -inf and +inf since float32 may round both band edges to t.
     """
+    if not 0 < pixel_size_m < np.inf:
+        raise ValueError("pixel_size_m must be positive and finite")
     surf = generate_fractal(side_px, fractal_dimension, seed)
     t = _median_threshold(surf, transition_halfwidth)
 
@@ -298,7 +286,7 @@ def make_clearsky_field(
         n = _cloud_index_rows(v, t, transition_halfwidth)
         return kstar_to_levels(cloud_to_clearsky(n).astype(np.float32))
 
-    clear, cloudy = rows(np.array([-np.inf, np.inf], dtype=surf.values.dtype))
+    clear, cloudy = rows(np.array([-np.inf, np.inf], dtype=surf.dtype))
 
     def band_rows(v):
         above = v >= t + transition_halfwidth
@@ -307,5 +295,4 @@ def make_clearsky_field(
         out[inside] = rows(v[inside])
         return out
 
-    levels = _map_rows(surf.values, band_rows, np.uint8)
-    return ClearSkyField(levels=levels, side_px=side_px, pixel_size_m=pixel_size_m)
+    return ClearSkyField(levels=_map_rows(surf, band_rows, np.uint8), pixel_size_m=pixel_size_m)

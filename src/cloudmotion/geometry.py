@@ -18,8 +18,9 @@ class Rect:
     y1: float
 
     def __post_init__(self) -> None:
-        if not (self.x1 > self.x0 and self.y1 > self.y0):
-            raise ValueError(f"degenerate rectangle: {self}")
+        # false for any non-finite corner, too: its width or height is inf or nan
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError(f"degenerate or non-finite rectangle: {self}")
 
     @property
     def width(self) -> float:

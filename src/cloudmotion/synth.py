@@ -1,7 +1,8 @@
 """Synthetic fleets for experiments where no traffic data is at hand.
 
-Vehicles perform seeded random walks: constant per-vehicle speed, heading
-diffusing a little every second, specular reflection at the area edges.
+Vehicles perform seeded random walks: constant per-vehicle speed (uniform
+in 4-16 m/s), heading diffusing by a 20 degree standard deviation every
+second, specular reflection at the area edges.
 Crude as traffic, but it yields a mobile sensor network with realistic
 churn in the spatial distribution.
 """
@@ -20,8 +21,6 @@ def random_walk_fleet(
     bounds: Rect,
     duration_s: int,
     seed: int,
-    speed_range: tuple = (4.0, 16.0),
-    turn_sigma_deg: float = 20.0,
 ) -> TrajectoryDataset:
     """Seeded random-walk fleet with one record per vehicle per second."""
     if n_vehicles < 1 or duration_s < 1:
@@ -33,8 +32,8 @@ def random_walk_fleet(
     x = rng.uniform(bounds.x0, bounds.x1, n_vehicles)
     y = rng.uniform(bounds.y0, bounds.y1, n_vehicles)
     heading = rng.uniform(0.0, 2.0 * np.pi, n_vehicles)
-    speed = rng.uniform(speed_range[0], speed_range[1], n_vehicles)
-    turn_sigma = np.deg2rad(turn_sigma_deg)
+    speed = rng.uniform(4.0, 16.0, n_vehicles)
+    turn_sigma = np.deg2rad(20.0)
 
     steps = duration_s + 1
     xs, ys = [], []

@@ -3,7 +3,7 @@ import numpy as np
 
 from cloudmotion.fractal_field import ClearSkyField
 from cloudmotion.gridding import GridSnapshot
-from cloudmotion.rasters import read_pgm, sidecar_path
+from cloudmotion.rasters import read_pgm, sidecar_path, write_pgm
 
 
 def read_clearsky_pgm(path):
@@ -12,7 +12,15 @@ def read_clearsky_pgm(path):
     if levels.shape[0] != levels.shape[1]:
         raise ValueError(f"{path}: clear-sky fields are square rasters")
     pixel_size = float(sidecar_path(path).read_text().split()[0])
-    return ClearSkyField(levels=levels, side_px=levels.shape[0], pixel_size_m=pixel_size)
+    return ClearSkyField(levels=levels, pixel_size_m=pixel_size)
+
+
+def write_shadow_mask(mask, pgm_path):
+    """A ShadowMask as load_shadow_mask reads it: PGM levels plus its origin/pixel sidecar."""
+    write_pgm(pgm_path, np.where(mask.mask, 0, 255).astype(np.uint8))
+    sidecar_path(pgm_path).write_text(
+        f"{mask.origin[0]:g} {mask.origin[1]:g} {mask.pixel_size_m:g}\n"
+    )
 
 
 def translation_grids(seed, ny, nx, dx, dy, n_snaps, spacing_s=10, low=0.09, high=1.2):

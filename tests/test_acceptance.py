@@ -157,7 +157,6 @@ def test_criterion_4_penetration_monotonicity(desk_campaign):
 def test_criterion_5_validity_filter(desk_campaign, fleet, field_pixel):
     clear = ClearSkyField(
         levels=np.full((2048, 2048), 255, dtype=np.uint8),  # k* = 1.2, clear sky
-        side_px=2048,
         pixel_size_m=field_pixel,
     )
     n_clear_valid = 0

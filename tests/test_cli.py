@@ -5,10 +5,10 @@ import pytest
 
 import cloudmotion.cli as cli
 from cloudmotion.cli import ConfigError, main, parse_config
-from cloudmotion.fleet import ShadowMask, write_shadow_mask
+from cloudmotion.fleet import ShadowMask
 from cloudmotion.geometry import Rect
 from cloudmotion.synth import random_walk_fleet, write_trajectories_csv
-from helpers import read_clearsky_pgm
+from helpers import read_clearsky_pgm, write_shadow_mask
 
 BOUNDS = Rect(0.0, 0.0, 300.0, 300.0)
 
@@ -112,6 +112,15 @@ def test_genfield_seed_flag_overrides(tmp_path):
     assert (out1 / "field.pgm").read_bytes() != (out2 / "field.pgm").read_bytes()
 
 
+@pytest.mark.parametrize("key", ["transition_halfwidth", "pixel_size_m"])
+def test_genfield_non_finite_exit_1(tmp_path, capsys, key):
+    cfg = _write_config(tmp_path, f"side_px = 64\nseed = 5\n{key} = nan\n")
+    out = tmp_path / "o"
+    assert main(["genfield", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {key} must be positive and finite\n"
+    assert not out.exists()
+
+
 def test_genfield_rejects_non_power_of_two(tmp_path, capsys):
     cfg = _write_config(tmp_path, "side_px = 100\nseed = 5\n")
     assert main(["genfield", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
@@ -167,8 +176,14 @@ def test_campaign_zero_sims_exit_1(tmp_path, fleet_csv):
         ("dmin_list = 10", "dmin_list = 0"),
         ("dmin_list = 10", "dmin_list = 10,-5"),
         ("field_seed = 99", "field_seed = 99\nk_neighbors = 0"),
+        ("dmin_list = 10", "dmin_list = inf"),
+        ("field_seed = 99", "field_seed = 99\nfield_pixel_size_m = nan"),
+        ("field_seed = 99", "field_seed = 99\nfield_pixel_size_m = inf"),
+        ("field_seed = 99", "field_seed = 99\ntransition_halfwidth = nan"),
+        ("bounds = 0,0,300,300", "bounds = 0,0,inf,300"),
     ],
-    ids=["timestep-0", "timestep-neg", "period-0", "period-neg", "dmin-0", "dmin-neg", "k-0"],
+    ids=["timestep-0", "timestep-neg", "period-0", "period-neg", "dmin-0", "dmin-neg", "k-0",
+         "dmin-inf", "pixel-nan", "pixel-inf", "halfwidth-nan", "bounds-inf"],
 )
 def test_campaign_bad_parameters_exit_1(tmp_path, fleet_csv, capsys, old, new):
     text = CAMPAIGN_CFG.format(traj=fleet_csv)

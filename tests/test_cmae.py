@@ -292,8 +292,8 @@ _velocity = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
     v2=_velocity,
     switch=st.integers(1, 29),
 )
-# a candidate the chunk bound rejects comes before a top-3 one in
-# all-pairs bound order: stopping the search at a chunk rejection fails here
+# a candidate the per-chunk levels reject comes before a top-3 one in
+# all-pairs bound order: stopping the search at such a rejection fails here
 @example(seed=9271, ny=10, nx=10, n_snaps=19, blur=5, sigma=0.0, v1=(0, -2), v2=(0, 2), switch=12)
 @settings(max_examples=40, deadline=None)
 def test_pruned_search_equals_exhaustive_drifting(seed, ny, nx, n_snaps, blur, sigma, v1, v2, switch):
@@ -306,7 +306,7 @@ def test_pruned_search_chunk_boundaries(n_pairs):
     # one chunk (single level), a 1-pair tail chunk, two full chunks, a
     # 1-pair tail after two full ones
     grids = _random_grids(23 + n_pairs, 9, 11, n_pairs + 1, levels=0)
-    a_stack, b_stack, _, _ = cmae_mod._search_space(grids, 10, 10.0, 40.0, 0.1)
+    a_stack, b_stack, _, _ = cmae_mod._search_space(grids, 10, 10.0, 40.0)
     for stack in (a_stack, b_stack):
         chunks = cmae_mod._chunk_sums(stack)
         assert chunks.shape == (-(-n_pairs // cmae_mod._CHUNK_PAIRS),) + stack.shape[1:]
@@ -335,7 +335,7 @@ def test_bounds_are_sound_and_nested(seed, ny, nx, n_snaps, levels, invalid):
     # the lower one; with many chunks it is often the higher one.
     grids = _random_grids(seed, ny, nx, n_snaps, levels, invalid)
     try:
-        a_stack, b_stack, cands, n_cells = cmae_mod._search_space(grids, 10, 10.0, 40.0, 0.1)
+        a_stack, b_stack, cands, n_cells = cmae_mod._search_space(grids, 10, 10.0, 40.0)
     except InsufficientPairsError:
         return
     a_chunks, b_chunks = cmae_mod._chunk_sums(a_stack), cmae_mod._chunk_sums(b_stack)
@@ -373,7 +373,7 @@ def test_block_bound_parities(ny, nx):
     # Quarter-integer values keep every sum exact, so equality is exact.
     q = cmae_mod._BLOCK
     grids = _random_grids(41 + ny, ny, nx, 20, levels=4)
-    a_stack, b_stack, _, _ = cmae_mod._search_space(grids, 10, 10.0, 40.0, 0.1)
+    a_stack, b_stack, _, _ = cmae_mod._search_space(grids, 10, 10.0, 40.0)
     a_chunks, b_chunks = cmae_mod._chunk_sums(a_stack), cmae_mod._chunk_sums(b_stack)
     blocks = cmae_mod._block_sums(a_chunks), cmae_mod._block_sums(b_chunks)
     shifts = range(-(q + 2), q + 3)
@@ -460,7 +460,7 @@ def test_pruned_search_skips_most_candidates_on_smooth_field(monkeypatch):
 def test_chunk_bounds_prune_more_on_long_smooth_series(monkeypatch):
     # 17 pairs: two full chunks and a 1-pair tail. The moving pattern blurs
     # the all-pairs sums (479 exact SADs with that level alone); the chunk
-    # sums keep it sharp (80 with the chunk bound, 5 with partial distortion)
+    # sums keep it sharp (119 with the block bound, 5 with partial distortion)
     n_snaps = 18
     grids = _smooth_translation_grids(n_snaps, 120, 60)
     est, two_level = _counted_search(monkeypatch, grids)
@@ -475,7 +475,7 @@ def test_chunk_bounds_prune_more_on_long_smooth_series(monkeypatch):
 
 
 def test_partial_distortion_cuts_full_sads_on_long_smooth_series(monkeypatch):
-    # the 17-pair series above: 80 full SADs without partial distortion,
+    # the 17-pair series above: 119 full SADs without partial distortion,
     # 5 with it; a rejection may use the chunked sums, a survivor may not
     grids = _smooth_translation_grids(18, 120, 60)
     stats = {}
@@ -498,13 +498,11 @@ def test_search_stats(monkeypatch, n_snaps):
     assert list(stats) == list(cmae_mod._STATS_KEYS)
     assert stats["full_sads"] == full
     assert stats["candidates"] == stats["bounds_all_pairs"] == est.n_candidates
-    rejected = [stats[k] for k in ("rejected_all_pairs", "rejected_block", "rejected_chunk",
-                                   "rejected_partial")]
+    rejected = [stats[k] for k in ("rejected_all_pairs", "rejected_block", "rejected_partial")]
     assert sum(rejected) + full == est.n_candidates
-    assert stats["bounds_chunk"] == stats["bounds_block"] - stats["rejected_block"]
-    assert stats["rejected_partial"] <= stats["bounds_chunk"] - stats["rejected_chunk"]
+    assert stats["rejected_partial"] <= stats["bounds_block"] - stats["rejected_block"]
     if n_snaps == 5:  # one chunk: the all-pairs level alone
-        assert stats["bounds_block"] == stats["bounds_chunk"] == stats["partial_chunks"] == 0
+        assert stats["bounds_block"] == stats["partial_chunks"] == 0
 
 
 def test_pruned_search_constant_grids_all_tie():

@@ -92,11 +92,19 @@ def test_campaign_validates_n_simulations():
         {"dmin_list": (0.0,)},
         {"dmin_list": (-10.0,)},
         {"k_neighbors": 0},
+        {"dmin_list": (10.0, np.inf)},
+        {"dmin_list": (10.0, np.nan)},
     ],
 )
 def test_campaign_validates_parameters(override):
     with pytest.raises(ValueError):
         _small_config(**override)
+
+
+@pytest.mark.parametrize("corners", [(0, 0, np.inf, 300), (-np.inf, 0, 300, 300), (0, np.nan, 300, 300)])
+def test_rect_rejects_non_finite_corners(corners):
+    with pytest.raises(ValueError, match="non-finite"):
+        Rect(*corners)
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
@@ -156,7 +164,6 @@ def test_campaign_paired_truth_draws_across_cells():
 def test_campaign_zero_valid_cell_is_reported_empty():
     flat = ClearSkyField(
         levels=np.full((512, 512), 255, dtype=np.uint8),  # k* = 1.2, clear sky
-        side_px=512,
         pixel_size_m=auto_pixel_size(512, required_field_side(DURATION, 30.0, BOUNDS.diagonal)),
     )
     cfg = _small_config(field=flat)

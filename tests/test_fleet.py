@@ -14,9 +14,9 @@ from cloudmotion.fleet import (
     load_trajectories,
     subsample_by_penetration,
     trajectory_table,
-    write_shadow_mask,
 )
 from cloudmotion.geometry import Rect
+from helpers import write_shadow_mask
 
 BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
 
@@ -264,6 +264,15 @@ def test_mask_round_trip(tmp_path):
     assert np.array_equal(back.mask, m.mask)
     assert back.origin == (0.0, 0.0)
     assert back.pixel_size_m == 10.0
+
+
+@pytest.mark.parametrize("pixel", ["0", "-10", "nan", "inf"])
+def test_mask_sidecar_pixel_size_positive_and_finite(tmp_path, pixel):
+    path = tmp_path / "mask.pgm"
+    write_shadow_mask(_checkerboard_mask(), path)
+    path.with_suffix(".txt").write_text(f"0 0 {pixel}\n")
+    with pytest.raises(ValueError, match="pixel size must be positive and finite"):
+        load_shadow_mask(path)
 
 
 def _positions(ds, mask, t):

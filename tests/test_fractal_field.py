@@ -14,7 +14,6 @@ from cloudmotion.fractal_field import (
     _LEVEL_KSTAR,
     DegenerateSurfaceError,
     FieldSizeError,
-    FractalSurface,
     _cloud_index_rows,
     _map_rows,
     _median,
@@ -56,10 +55,8 @@ class FloatClearSkyField:
 def to_cloud_index(surface, transition_halfwidth=0.15, pixel_size_m=1.0):
     """Threshold a surface at its median with a linear transition band."""
     t = _median_threshold(surface, transition_halfwidth)
-    n = _map_rows(
-        surface.values, lambda v: _cloud_index_rows(v, t, transition_halfwidth), np.float32
-    )
-    return CloudIndexField(n=n, side_px=surface.side_px, pixel_size_m=pixel_size_m)
+    n = _map_rows(surface, lambda v: _cloud_index_rows(v, t, transition_halfwidth), np.float32)
+    return CloudIndexField(n=n, side_px=surface.shape[0], pixel_size_m=pixel_size_m)
 
 
 def clearsky_field(cloud):
@@ -78,14 +75,14 @@ def quantize_8bit(field):
 
 def test_generate_minimal_size():
     s = generate_fractal(2, 1.5, seed=3)
-    assert s.values.shape == (2, 2)
-    assert np.all(np.isfinite(s.values))
+    assert s.shape == (2, 2)
+    assert np.all(np.isfinite(s))
 
 
 @pytest.mark.parametrize("side", [2, 3, 16, 17, 257])
 def test_generate_admissible_sides(side):
     s = generate_fractal(side, 1.5, seed=1)
-    assert s.values.shape == (side, side)
+    assert s.shape == (side, side)
 
 
 @pytest.mark.parametrize("side", [0, 1, 7, 100, 500])
@@ -103,15 +100,15 @@ def test_generate_rejects_bad_dimension(dim):
 def test_generate_deterministic_same_seed():
     a = generate_fractal(257, 1.5, seed=7)
     b = generate_fractal(257, 1.5, seed=7)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
     c = generate_fractal(257, 1.5, seed=8)
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a, c)
 
 
 def test_power_of_two_side_is_crop_of_plus_one():
     full = generate_fractal(129, 1.5, seed=5)
     cropped = generate_fractal(128, 1.5, seed=5)
-    assert np.array_equal(cropped.values, full.values[:128, :128])
+    assert np.array_equal(cropped, full[:128, :128])
 
 
 @pytest.mark.slow
@@ -119,10 +116,10 @@ def test_generate_full_size_reproducible():
     # 16384 px production-size field; digest pins bit-for-bit reproducibility
     # across runs and processes.
     s = generate_fractal(16384, 1.5, seed=42)
-    assert s.values.shape == (16384, 16384)
+    assert s.shape == (16384, 16384)
     h = hashlib.sha256()
     for r0 in range(0, 16384, 256):
-        h.update(s.values[r0 : r0 + 256].tobytes())
+        h.update(s[r0 : r0 + 256].tobytes())
     digest = h.hexdigest()
     assert digest == "269c52881b6cbfe2063dc15ba871056d6fad6e7e0e4fcb0cd9209dfa4282094a"
 
@@ -144,14 +141,13 @@ def test_generate_peak_memory():
 def test_rougher_dimension_changes_surface():
     smooth = generate_fractal(65, 1.2, seed=9)
     rough = generate_fractal(65, 1.8, seed=9)
-    assert not np.array_equal(smooth.values, rough.values)
+    assert not np.array_equal(smooth, rough)
 
 
 # ------------------------------------------------------------- cloud index
 
 def _ramp_surface(side=16):
-    vals = np.linspace(0.0, 1.0, side * side, dtype=np.float32).reshape(side, side)
-    return FractalSurface(values=vals, side_px=side, fractal_dimension=1.5)
+    return np.linspace(0.0, 1.0, side * side, dtype=np.float32).reshape(side, side)
 
 
 def test_cloud_index_midpoint_and_endpoints():
@@ -162,11 +158,11 @@ def test_cloud_index_midpoint_and_endpoints():
     vals = np.array(
         [[0.5 - h, 0.5 - h / 2, 0.5], [0.5, 0.5 + h / 2, 0.5 + h]], dtype=np.float32
     )
-    surf = FractalSurface(np.pad(vals, ((0, 1), (0, 0)), mode="edge"), 3, 1.5)
-    t = float(np.median(surf.values))
+    surf = np.pad(vals, ((0, 1), (0, 0)), mode="edge")
+    t = float(np.median(surf))
     assert t == pytest.approx(0.5)
     cloud = to_cloud_index(surf, h)
-    v, n = surf.values, cloud.n
+    v, n = surf, cloud.n
     assert np.allclose(n[v == np.float32(0.5)], 0.5, atol=1e-6)
     assert np.all(n[v <= t - h] == np.float32(-0.2))
     assert np.all(n[v >= t + h] == np.float32(1.2))
@@ -187,7 +183,7 @@ def test_cloud_index_monotone_in_value():
 
 
 def test_cloud_index_degenerate_surface():
-    flat = FractalSurface(np.ones((8, 8), dtype=np.float32), 8, 1.5)
+    flat = np.ones((8, 8), dtype=np.float32)
     with pytest.raises(DegenerateSurfaceError):
         to_cloud_index(flat, 0.15)
 
@@ -363,6 +359,13 @@ def test_pipeline_validation_order():
         make_clearsky_field(64, 1.5, seed=1, transition_halfwidth=-1.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("key", ["transition_halfwidth", "pixel_size_m"])
+def test_pipeline_rejects_non_positive_or_non_finite(key, bad):
+    with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+        make_clearsky_field(16, 1.5, seed=1, **{key: bad})
+
+
 def test_pipeline_peak_memory():
     # float64 temporaries the size of the raster would take 2x its float32
     # bytes each; the peak is the fractal grid plus the median's per-block
@@ -422,8 +425,8 @@ def test_median_of_crops_equals_numpy(k, seed, outlier_at, shift):
 @pytest.mark.parametrize("side,seed", [(64, 1), (129, 3), (1024, 7)])
 def test_levels_same_for_either_median(side, seed):
     surf = generate_fractal(side, 1.5, seed)
-    assert _median_threshold(surf, 0.15) == np.median(surf.values)
-    n = _cloud_index_rows(surf.values, np.median(surf.values), 0.15)
+    assert _median_threshold(surf, 0.15) == np.median(surf)
+    n = _cloud_index_rows(surf, np.median(surf), 0.15)
     want = kstar_to_levels(cloud_to_clearsky(n).astype(np.float32))
     assert make_clearsky_field(side, 1.5, seed).levels.tobytes() == want.tobytes()
 
@@ -450,11 +453,9 @@ def _around_half(specials, side=16):
 
 def _band_levels(monkeypatch, values, halfwidth):
     """make_clearsky_field's levels for a hand-built surface, checked against the float oracle."""
-    side = values.shape[0]
-    surf = FractalSurface(values, side, 1.5)
-    monkeypatch.setattr(fractal_field, "generate_fractal", lambda *args: surf)
-    got = make_clearsky_field(side, 1.5, 0, transition_halfwidth=halfwidth).levels
-    want = kstar_to_levels(clearsky_field(to_cloud_index(surf, halfwidth)).kstar)
+    monkeypatch.setattr(fractal_field, "generate_fractal", lambda *args: values)
+    got = make_clearsky_field(values.shape[0], 1.5, 0, transition_halfwidth=halfwidth).levels
+    want = kstar_to_levels(clearsky_field(to_cloud_index(values, halfwidth)).kstar)
     assert got.dtype == want.dtype == np.uint8
     assert np.array_equal(got, want)
     return got
@@ -465,7 +466,7 @@ def test_band_levels_at_band_edges(monkeypatch):
     lo, hi = np.float32(0.5) - h, np.float32(0.5) + h  # the float32 edges the pipeline uses
     specials = np.concatenate([_ulps(lo, 1), _ulps(hi, 1)])
     values = _around_half(specials)
-    assert _median_threshold(FractalSurface(values, 16, 1.5), h) == np.float32(0.5)
+    assert _median_threshold(values, h) == np.float32(0.5)
     got = _band_levels(monkeypatch, values, h).ravel()
     assert got[:2].tolist() == [255, 255]  # at or below t - h: fully clear
     assert got[4:6].tolist() == [0, 0]  # at or above t + h: fully cloudy
@@ -487,7 +488,7 @@ def test_band_levels_empty_and_full_band(monkeypatch, halfwidth, in_band):
     # the median pixel is cloudy; 1e-7: only the median pixel is inside;
     # 50: the band covers every pixel
     values = np.random.default_rng(3).standard_normal((33, 33), dtype=np.float32)
-    t = _median_threshold(FractalSurface(values, 33, 1.5), halfwidth)
+    t = _median_threshold(values, halfwidth)
     assert (t - halfwidth == t + halfwidth) == (halfwidth == 1e-12)
     got = _band_levels(monkeypatch, values, halfwidth)
     assert np.count_nonzero(~np.isin(got, [0, 255])) == in_band

@@ -29,7 +29,7 @@ def _coordinate_fields(side=512, pixel=1.0):
     cannot number the pixels of one field."""
     iy, ix = np.mgrid[0:side, 0:side]
     return [
-        ClearSkyField(levels=(c >> shift & 255).astype(np.uint8), side_px=side, pixel_size_m=pixel)
+        ClearSkyField(levels=(c >> shift & 255).astype(np.uint8), pixel_size_m=pixel)
         for c in (iy, ix)
         for shift in (0, 8)
     ]
@@ -45,7 +45,7 @@ def _sampled_pixels(fields, *args):
 
 def _field(kstar, pixel=1.0):
     """A field from a square float k* raster, quantised to levels."""
-    return ClearSkyField(levels=kstar_to_levels(kstar), side_px=kstar.shape[0], pixel_size_m=pixel)
+    return ClearSkyField(levels=kstar_to_levels(kstar), pixel_size_m=pixel)
 
 
 def _flat_field(value=1.2, side=2048, pixel=8.0):
