@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -88,26 +89,20 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_path: str
-    config_sha256: str
-    inputs: dict
-    seeds: dict
-    out_dir: str
-
-    def write(self) -> None:
-        path = Path(self.out_dir) / "manifest.json"
-        payload = {
-            "command": self.command,
-            "config_path": self.config_path,
-            "config_sha256": self.config_sha256,
-            "inputs": self.inputs,
-            "seeds": self.seeds,
-            "out_dir": self.out_dir,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_manifest(args, out: Path, inputs: dict, seeds: dict) -> None:
+    """out/manifest.json: the command, config and input digests, seeds, versions."""
+    payload = {
+        "command": args.command,
+        "config_path": str(args.config),
+        "config_sha256": _sha256(args.config),
+        "inputs": {name: _sha256(p) for name, p in inputs.items()},
+        "seeds": seeds,
+        "out_dir": str(out),
+        # the numpy version decides the bits of the field and the estimates
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+    (out / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _check_inputs(paths: dict) -> None:
@@ -150,14 +145,7 @@ def cmd_genfield(args) -> int:
         f"kstar min {_LEVEL_KSTAR[present[0]]:.4f} max {_LEVEL_KSTAR[present[-1]]:.4f} "
         f"median {float(_LEVEL_KSTAR[middle].mean()):.4f}"
     )
-    RunManifest(
-        command="genfield",
-        config_path=str(args.config),
-        config_sha256=_sha256(args.config),
-        inputs={},
-        seeds={"field": seed},
-        out_dir=str(out),
-    ).write()
+    _write_manifest(args, out, {}, {"field": seed})
     return 0
 
 
@@ -226,14 +214,7 @@ def cmd_campaign(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_results_csv(result, out / "results.csv")
     write_scatter_csvs(result, out)
-    RunManifest(
-        command="campaign",
-        config_path=str(args.config),
-        config_sha256=_sha256(args.config),
-        inputs={name: _sha256(p) for name, p in input_paths.items()},
-        seeds={"base": base_seed, "field": field_seed},
-        out_dir=str(out),
-    ).write()
+    _write_manifest(args, out, input_paths, {"base": base_seed, "field": field_seed})
     print(f"wrote {out / 'results.csv'} ({len(result.cells)} cells, "
           f"{campaign.n_simulations} simulations)")
     return 0
@@ -241,32 +222,24 @@ def cmd_campaign(args) -> int:
 
 def cmd_export_series(args) -> int:
     cfg = parse_config(args.config)
-    bounds, ds, mask, input_paths = _load_scenario(cfg)
     seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
-    duration = _get(cfg, "duration_s", int, 300)
+    tcfg = TransitConfig(
+        duration_s=_get(cfg, "duration_s", int, 300),
+        sampling_period_s=_get(cfg, "sampling_period_s", int, 1),
+        seed=seed,
+    )
     n_series = _get(cfg, "n_series", int, 1)
     if n_series < 1:
         raise ConfigError("n_series must be >= 1")
-    field = _build_field(cfg, bounds, duration, _get(cfg, "field_seed", int, seed + 1))
+    bounds, ds, mask, input_paths = _load_scenario(cfg)
+    field = _build_field(cfg, bounds, tcfg.duration_s, _get(cfg, "field_seed", int, seed + 1))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(n_series):
-        tcfg = TransitConfig(
-            duration_s=duration,
-            sampling_period_s=_get(cfg, "sampling_period_s", int, 1),
-            seed=seed + i,
-        )
-        truth = draw_truth(seed + i)
-        series = run_transit(field, ds, mask, truth, tcfg)
-        export_series(series, tcfg, out / f"series_{i:03d}.csv")
-    RunManifest(
-        command="export",
-        config_path=str(args.config),
-        config_sha256=_sha256(args.config),
-        inputs={name: _sha256(p) for name, p in input_paths.items()},
-        seeds={"base": seed},
-        out_dir=str(out),
-    ).write()
+        series_cfg = replace(tcfg, seed=seed + i)
+        series = run_transit(field, ds, mask, draw_truth(seed + i), series_cfg)
+        export_series(series, series_cfg, out / f"series_{i:03d}.csv")
+    _write_manifest(args, out, input_paths, {"base": seed})
     print(f"wrote {n_series} series to {out}")
     return 0
 

@@ -43,7 +43,7 @@ MIN_OVERLAP_FRACTION = 0.1
 _PRUNE_MARGIN = 1e-3
 _CHUNK_PAIRS = 8
 _BLOCK = 3  # side in cells of the blocks of search_cmv's block bound
-# the counters search_cmv writes to its stats dict
+# the counters search_cmv adds to its stats dict
 _STATS_KEYS = (
     "candidates", "bounds_all_pairs", "bounds_block",
     "rejected_all_pairs", "rejected_block", "rejected_partial",
@@ -291,9 +291,10 @@ def search_cmv(
     ties included, is therefore evaluated, and n_candidates still counts
     the whole admissible set.
 
-    If stats is a dict, it receives the search's counters: candidates,
-    bounds computed and candidates rejected at each level, chunks summed by
-    partial distortion and full exact SADs (the keys of _STATS_KEYS).
+    If stats is a dict, the search's counters are added to it, so one dict
+    can sum many searches: candidates, bounds computed and candidates
+    rejected at each level, chunks summed by partial distortion and full
+    exact SADs (the keys of _STATS_KEYS).
     """
     a_stack, b_stack, cands, n_cells = _search_space(grids, timestep_s, dmin, v_cap)
     _, ny, nx = a_stack.shape
@@ -332,7 +333,7 @@ def search_cmv(
         counts["rejected_all_pairs"] = cands.shape[0] - sum(
             counts[k] for k in ("rejected_block", "rejected_partial", "full_sads")
         )
-        stats.update(counts)
+        stats.update({k: stats.get(k, 0) + v for k, v in counts.items()})
     partial = CmaeSurface(cands[evaluated], np.array(values), pair_count=a_stack.shape[0])
     return replace(estimate_cmv(partial, timestep_s, dmin), n_candidates=cands.shape[0])
 

@@ -7,6 +7,7 @@ keep every simulation because a single outlier can dominate the RMSE.
 """
 from __future__ import annotations
 
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cmae import V_CAP_MPS, InsufficientPairsError, invalid_estimate, search_cmv
+from .cmae import _STATS_KEYS, V_CAP_MPS, InsufficientPairsError, invalid_estimate, search_cmv
 # The exhaustive pair stays importable here: perfbench/run.py --trace 1
 # wraps these names on this module.
 from .cmae import accumulate_cmae, estimate_cmv  # noqa: F401
@@ -95,6 +96,7 @@ class TransitOutcome:
     truth_direction: float
     valid_event: bool
     estimates: dict  # (dmin, timestep) -> CmvEstimate
+    telemetry: dict  # stage seconds (transit_s, ...) and search_cmv's counters
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,7 @@ class CellResult:
 @dataclass(frozen=True)
 class CampaignResult:
     cells: dict  # (dmin, timestep, pr) -> CellResult
+    telemetry: dict  # pr -> TransitOutcome.telemetry summed over simulations
 
     def cell(self, dmin, timestep, pr) -> CellResult:
         return self.cells[(float(dmin), int(timestep), float(pr))]
@@ -134,28 +137,38 @@ def _simulate_one(sim_index: int) -> dict:
     )
     out = {}
     for pr, ds in ds_by_pr.items():
+        t0 = time.perf_counter()
         series = run_transit(cfg.field, ds, cfg.mask, truth, tcfg)
+        t1 = time.perf_counter()
         valid_event = is_valid_event(series, cfg.bounds, cfg.min_variability_s)
+        # stage seconds, then the counters that each search_cmv call adds to
+        telemetry = {"transit_s": t1 - t0, "validity_s": time.perf_counter() - t1,
+                     "gridding_s": 0.0, "search_s": 0.0, **dict.fromkeys(_STATS_KEYS, 0)}
         estimates = {}
         for dmin in cfg.dmin_list:
+            t0 = time.perf_counter()
             grids = grid_series(series, GridSpec(cfg.bounds, dmin), cfg.k_neighbors)
+            t1 = time.perf_counter()
             for ts in cfg.timestep_list:
                 try:
-                    est = search_cmv(grids, ts, dmin)
+                    est = search_cmv(grids, ts, dmin, stats=telemetry)
                 except InsufficientPairsError:
                     est = invalid_estimate()
                 estimates[(float(dmin), int(ts))] = est
+            telemetry["gridding_s"] += t1 - t0
+            telemetry["search_s"] += time.perf_counter() - t1
         out[pr] = TransitOutcome(
             truth_speed=truth.speed,
             truth_direction=truth.direction_deg,
             valid_event=valid_event,
             estimates=estimates,
+            telemetry=telemetry,
         )
     return out
 
 
 def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
-    """Run all simulations and aggregate per-cell RMSE tables.
+    """Run all simulations; aggregate per-cell RMSE tables and per-pr telemetry.
 
     Aggregation is an ordered reduction over simulation indices, so the
     result is independent of how many worker processes were used.
@@ -181,6 +194,11 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
         finally:
             _STATE.clear()  # the caller's process must not keep the campaign alive
 
+    telemetry = {pr: {} for pr in ds_by_pr}
+    for sim in per_sim:
+        for pr, oc in sim.items():
+            telemetry[pr] = {k: telemetry[pr].get(k, 0) + v for k, v in oc.telemetry.items()}
+
     cells = {}
     for dmin in cfg.dmin_list:
         for ts in cfg.timestep_list:
@@ -205,7 +223,7 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
                     n_valid=n_valid,
                     scatter=tuple(scatter),
                 )
-    return CampaignResult(cells=cells)
+    return CampaignResult(cells=cells, telemetry=telemetry)
 
 
 def write_results_csv(result: CampaignResult, path) -> None:

@@ -167,30 +167,35 @@ def test_campaign_zero_sims_exit_1(tmp_path, fleet_csv):
 
 
 @pytest.mark.parametrize(
-    "old, new",
+    "old, new, message",
     [
-        ("timestep_list = 10", "timestep_list = 0"),
-        ("timestep_list = 10", "timestep_list = -10"),
-        ("sampling_period_s = 1", "sampling_period_s = 0"),
-        ("sampling_period_s = 1", "sampling_period_s = -1"),
-        ("dmin_list = 10", "dmin_list = 0"),
-        ("dmin_list = 10", "dmin_list = 10,-5"),
-        ("field_seed = 99", "field_seed = 99\nk_neighbors = 0"),
-        ("dmin_list = 10", "dmin_list = inf"),
-        ("field_seed = 99", "field_seed = 99\nfield_pixel_size_m = nan"),
-        ("field_seed = 99", "field_seed = 99\nfield_pixel_size_m = inf"),
-        ("field_seed = 99", "field_seed = 99\ntransition_halfwidth = nan"),
-        ("bounds = 0,0,300,300", "bounds = 0,0,inf,300"),
+        ("timestep_list = 10", "timestep_list = 0", "timesteps must be positive"),
+        ("timestep_list = 10", "timestep_list = -10", "timesteps must be positive"),
+        ("sampling_period_s = 1", "sampling_period_s = 0", "sampling_period_s must be positive"),
+        ("sampling_period_s = 1", "sampling_period_s = -1", "sampling_period_s must be positive"),
+        ("dmin_list = 10", "dmin_list = 0", "dmin values must be positive and finite"),
+        ("dmin_list = 10", "dmin_list = 10,-5", "dmin values must be positive and finite"),
+        ("field_seed = 99", "field_seed = 99\nk_neighbors = 0", "k_neighbors must be >= 1"),
+        ("dmin_list = 10", "dmin_list = inf", "dmin values must be positive and finite"),
+        ("field_seed = 99", "field_seed = 99\nfield_pixel_size_m = nan",
+         "pixel_size_m must be positive and finite"),
+        ("field_seed = 99", "field_seed = 99\nfield_pixel_size_m = inf",
+         "pixel_size_m must be positive and finite"),
+        ("field_seed = 99", "field_seed = 99\ntransition_halfwidth = nan",
+         "transition_halfwidth must be positive and finite"),
+        ("bounds = 0,0,300,300", "bounds = 0,0,inf,300", "non-finite rectangle"),
     ],
     ids=["timestep-0", "timestep-neg", "period-0", "period-neg", "dmin-0", "dmin-neg", "k-0",
          "dmin-inf", "pixel-nan", "pixel-inf", "halfwidth-nan", "bounds-inf"],
 )
-def test_campaign_bad_parameters_exit_1(tmp_path, fleet_csv, capsys, old, new):
+def test_campaign_bad_parameters_exit_1(tmp_path, fleet_csv, capsys, old, new, message):
+    # the message tells a validation error from a ValueError raised deeper down
     text = CAMPAIGN_CFG.format(traj=fleet_csv)
     assert old in text
     cfg = _write_config(tmp_path, text.replace(old, new))
     assert main(["campaign", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_campaign_jobs_below_one_exit_1(tmp_path, fleet_csv, capsys, monkeypatch):
@@ -238,6 +243,41 @@ def test_export_series_counts(tmp_path, fleet_csv):
     times = {int(l.split(",")[0]) for l in lines[2:]}
     assert times == set(range(31))  # both endpoints sampled
     assert len(lines) - 2 == 31 * 30  # every vehicle at every instant
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == {
+        "command", "config_path", "config_sha256", "inputs", "seeds", "out_dir",
+        "python", "numpy",
+    }
+    assert manifest["command"] == "export"
+    assert manifest["seeds"] == {"base": 3}
+    assert list(manifest["inputs"]) == ["trajectories"]
+    assert manifest["numpy"] == np.__version__
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("sampling_period_s = 1", "sampling_period_s = 0",
+         "duration and sampling period must be positive"),
+        ("sampling_period_s = 1", "sampling_period_s = 7",
+         "duration_s must be divisible by sampling_period_s"),
+    ],
+    ids=["period-0", "period-not-dividing"],
+)
+def test_export_bad_sampling_period_exit_1_before_field(
+    tmp_path, fleet_csv, capsys, monkeypatch, old, new, message
+):
+    def no_field(*args, **kwargs):
+        raise AssertionError("the field was built before the sampling period was checked")
+
+    monkeypatch.setattr(cli, "make_clearsky_field", no_field)
+    text = EXPORT_CFG.format(traj=fleet_csv, extra="")
+    assert old in text
+    cfg = _write_config(tmp_path, text.replace(old, new))
+    out = tmp_path / "o"
+    assert main(["export", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_export_all_shadowed_mask_gives_header_only(tmp_path, fleet_csv):

@@ -503,6 +503,10 @@ def test_search_stats(monkeypatch, n_snaps):
     assert stats["rejected_partial"] <= stats["bounds_block"] - stats["rejected_block"]
     if n_snaps == 5:  # one chunk: the all-pairs level alone
         assert stats["bounds_block"] == stats["partial_chunks"] == 0
+    # a second search into the same dict adds its counters to the first's
+    once = dict(stats)
+    search_cmv(grids, 10, 5.0, v_cap=20.0, stats=stats)
+    assert stats == {k: 2 * v for k, v in once.items()}
 
 
 def test_pruned_search_constant_grids_all_tie():

@@ -135,6 +135,19 @@ def test_campaign_deterministic_and_jobs_invariant():
     for key in r1.cells:
         assert r1.cells[key] == r2.cells[key]
         assert r1.cells[key] == r3.cells[key]
+    # the stage seconds vary from run to run; the search counters do not
+    assert r1.telemetry.keys() == r3.telemetry.keys() == {1.0}
+    for pr, tel in r1.telemetry.items():
+        seconds = {k for k in tel if k.endswith("_s")}
+        assert seconds == {"transit_s", "validity_s", "gridding_s", "search_s"}
+        assert all(tel[k] >= 0.0 for k in seconds)
+        counters = {k: v for k, v in tel.items() if k not in seconds}
+        assert counters == {k: v for k, v in r3.telemetry[pr].items() if k not in seconds}
+        assert counters["candidates"] > 0
+        assert counters["candidates"] == sum(
+            counters[k] for k in ("rejected_all_pairs", "rejected_block", "rejected_partial",
+                                  "full_sads")
+        )
 
 
 def test_serial_campaign_releases_its_state(monkeypatch):
