@@ -43,7 +43,6 @@ from .transit import (
     draw_truth,
     is_valid_event,
     run_transit,
-    sample_field_at,
 )
 
 __all__ = [
@@ -78,7 +77,6 @@ __all__ = [
     "rmse",
     "run_campaign",
     "run_transit",
-    "sample_field_at",
     "search_cmv",
     "subsample_by_penetration",
 ]

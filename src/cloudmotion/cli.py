@@ -187,9 +187,9 @@ def cmd_campaign(args) -> int:
     base_seed = args.seed if args.seed is not None else _get(cfg, "base_seed", int, 0)
     field_seed = _get(cfg, "field_seed", int, base_seed + 1)
     duration = _get(cfg, "duration_s", int, 300)
-    field = _build_field(cfg, bounds, duration, field_seed)
+    # CampaignConfig checks the sweep first, so a bad value exits before the costly field build
     campaign = CampaignConfig(
-        field=field,
+        field=None,
         dataset=ds,
         bounds=bounds,
         mask=mask,
@@ -202,6 +202,7 @@ def cmd_campaign(args) -> int:
         duration_s=duration,
         k_neighbors=_get(cfg, "k_neighbors", int, 3),
     )
+    campaign = replace(campaign, field=_build_field(cfg, bounds, duration, field_seed))
     result = run_campaign(campaign, jobs=args.jobs)
     if all(
         not np.isfinite(row[3]) for cell in result.cells.values() for row in cell.scatter

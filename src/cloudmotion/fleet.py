@@ -210,23 +210,6 @@ def subsample_by_penetration(ds: TrajectoryDataset, pr: float, seed: int) -> Tra
     return TrajectoryDataset(ds.table[keep], ds.window, ds.bounds)
 
 
-def active_sensor_records(
-    ds: TrajectoryDataset, mask: Optional[ShadowMask], t: int
-) -> tuple:
-    """(vehicle_ids, positions) of sensing-capable vehicles at instant t.
-
-    An (n,) id array and an (n, 2) array of x, y, id-sorted.  Vehicles on
-    shadowed mask pixels are excluded by one mask lookup for the instant;
-    with no mask every vehicle with a record at t counts.
-    """
-    if not 0 <= t <= ds.duration_s:
-        raise ValueError(f"t={t} outside dataset window")
-    recs = ds.records_at(t)
-    if mask is not None:
-        recs = recs[~mask.is_shadowed(recs["x"], recs["y"])]
-    return recs["vehicle_id"], np.column_stack([recs["x"], recs["y"]])
-
-
 def load_shadow_mask(pgm_path) -> ShadowMask:
     """Read a shadow mask: PGM levels < 128 are shadowed, >= 128 lit.
 

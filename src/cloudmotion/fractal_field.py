@@ -58,11 +58,6 @@ class ClearSkyField:
         return self.levels.shape[0]
 
     @property
-    def kstar(self) -> np.ndarray:
-        """float32 k* of every pixel, a new full-size array on each call."""
-        return _LEVEL_KSTAR[self.levels]
-
-    @property
     def extent_m(self) -> float:
         return self.side_px * self.pixel_size_m
 

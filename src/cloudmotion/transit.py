@@ -1,10 +1,11 @@
 """Cloud-shadow transits over a mobile sensor network.
 
 A clear-sky-index field sweeps the observation area at constant speed and
-direction (degrees clockwise from north; 0 moves north, 90 east).  Each
-sampling instant the field is read at the active vehicle positions with a
-nearest-pixel lookup, producing the measurement stream the estimator sees:
-one SensorSnapshot of (x, y, kstar) array rows per instant.
+direction (degrees clockwise from north; 0 moves north, 90 east).  One
+lookup pass reads the field at every active vehicle record of every
+sampling instant, nearest pixel, and the rows are cut into the measurement
+stream the estimator sees: one SensorSnapshot of (x, y, kstar) array rows
+per instant.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fleet import SensorSnapshot, ShadowMask, TrajectoryDataset, active_sensor_records
+from .fleet import SensorSnapshot, ShadowMask, TrajectoryDataset
 from .fractal_field import _LEVEL_KSTAR, ClearSkyField
 from .geometry import Rect
 
@@ -106,38 +107,6 @@ def default_field_anchor(
     )
 
 
-def sample_field_at(
-    field: ClearSkyField,
-    anchor: tuple,
-    truth: MotionTruth,
-    t: int,
-    positions,
-    vehicle_ids=(),
-) -> SensorSnapshot:
-    """Read the moving field at (n, 2) sensor positions for one instant.
-
-    The field translates with the truth velocity, so the value seen at world
-    position p at time t sits at p - anchor - t*v in field coordinates;
-    the containing pixel is the nearest-pixel lookup.  Lookups outside the
-    raster mean the field was sized or anchored wrong: fail fast.
-    """
-    pos = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-    v = truth.velocity
-    qx = pos[:, 0] - anchor[0] - t * v[0]
-    qy = pos[:, 1] - anchor[1] - t * v[1]
-    pix = field.pixel_size_m
-    extent = field.extent_m
-    if pos.size and (qx.min() < 0 or qy.min() < 0 or qx.max() > extent or qy.max() > extent):
-        raise FieldSizingError(
-            f"lookup left the field raster at t={t}; "
-            f"extent {extent:.0f} m is too small for this transit"
-        )
-    ix = np.minimum((qx / pix).astype(np.int64), field.side_px - 1)
-    iy = np.minimum((qy / pix).astype(np.int64), field.side_px - 1)
-    sensors = np.column_stack([pos, _LEVEL_KSTAR[field.levels[iy, ix]]])
-    return SensorSnapshot(t=t, sensors=sensors, vehicle_ids=vehicle_ids)
-
-
 def run_transit(
     field: ClearSkyField,
     ds: TrajectoryDataset,
@@ -145,7 +114,16 @@ def run_transit(
     truth: MotionTruth,
     cfg: TransitConfig,
 ) -> MeasurementSeries:
-    """Sweep the field over the fleet and sample every sampling instant."""
+    """Sweep the field over the fleet and read it at every sampling instant.
+
+    One pass over the records: keep those at sampling instants, drop the
+    ones on shadowed mask pixels, look the field up for all of them at once
+    and cut the rows into per-instant snapshots.  The field translates with
+    the truth velocity, so the value seen at world position p at time t
+    sits at p - anchor - t*v in field coordinates; the containing pixel is
+    the nearest-pixel lookup.  Lookups outside the raster mean the field was
+    sized or anchored wrong: fail fast, naming the first such instant.
+    """
     if ds.duration_s < cfg.duration_s:
         raise ValueError(
             f"dataset covers {ds.duration_s} s but the transit needs {cfg.duration_s} s"
@@ -153,12 +131,34 @@ def run_transit(
     anchor = cfg.field_anchor
     if anchor is None:
         anchor = default_field_anchor(field, ds.bounds, truth, cfg.duration_s)
-    snaps = []
-    for t in cfg.sample_times:
-        ids, positions = active_sensor_records(ds, mask, t)
-        snaps.append(sample_field_at(field, anchor, truth, t, positions, vehicle_ids=ids))
+    recs = ds.table
+    recs = recs[(recs["t"] <= cfg.duration_s) & (recs["t"] % cfg.sampling_period_s == 0)]
+    if mask is not None:
+        recs = recs[~mask.is_shadowed(recs["x"], recs["y"])]
+    t, x, y = recs["t"], recs["x"], recs["y"]
+    v = truth.velocity
+    qx = x - anchor[0] - t * v[0]
+    qy = y - anchor[1] - t * v[1]
+    pix = field.pixel_size_m
+    extent = field.extent_m
+    off = (qx < 0) | (qy < 0) | (qx > extent) | (qy > extent)
+    if off.any():
+        raise FieldSizingError(
+            f"lookup left the field raster at t={t[off][0]}; "
+            f"extent {extent:.0f} m is too small for this transit"
+        )
+    ix = np.minimum((qx / pix).astype(np.int64), field.side_px - 1)
+    iy = np.minimum((qy / pix).astype(np.int64), field.side_px - 1)
+    sensors = np.column_stack([x, y, _LEVEL_KSTAR[field.levels[iy, ix]]])
+    ids = recs["vehicle_id"]
+    # rows are sorted by (t, vehicle_id) and every t is a sampling instant
+    cuts = np.searchsorted(t, cfg.sample_times).tolist() + [len(t)]
+    snaps = tuple(
+        SensorSnapshot(t=s, sensors=sensors[a:b], vehicle_ids=ids[a:b])
+        for s, a, b in zip(cfg.sample_times, cuts, cuts[1:])
+    )
     return MeasurementSeries(
-        snapshots=tuple(snaps), truth=truth, sampling_period_s=cfg.sampling_period_s
+        snapshots=snaps, truth=truth, sampling_period_s=cfg.sampling_period_s
     )
 
 

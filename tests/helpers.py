@@ -1,9 +1,46 @@
 """Shared test constructions: exact-translation grid series and friends."""
 import numpy as np
 
-from cloudmotion.fractal_field import ClearSkyField
+from cloudmotion.fleet import SensorSnapshot
+from cloudmotion.fractal_field import _LEVEL_KSTAR, ClearSkyField
 from cloudmotion.gridding import GridSnapshot
 from cloudmotion.rasters import read_pgm, sidecar_path, write_pgm
+from cloudmotion.transit import FieldSizingError, MeasurementSeries, default_field_anchor
+
+
+def field_kstar(field):
+    """float32 k* of every pixel of a ClearSkyField, as a new full-size array."""
+    return _LEVEL_KSTAR[field.levels]
+
+
+def run_transit_per_instant(field, ds, mask, truth, cfg):
+    """run_transit one sampling instant at a time: the reference for its one-pass lookup.
+
+    Each instant slices its records, drops the shadowed ones with one mask
+    lookup and reads the field at the rest.
+    """
+    anchor = cfg.field_anchor
+    if anchor is None:
+        anchor = default_field_anchor(field, ds.bounds, truth, cfg.duration_s)
+    v = truth.velocity
+    pix, extent = field.pixel_size_m, field.extent_m
+    snaps = []
+    for t in cfg.sample_times:
+        recs = ds.records_at(t)
+        if mask is not None:
+            recs = recs[~mask.is_shadowed(recs["x"], recs["y"])]
+        qx = recs["x"] - anchor[0] - t * v[0]
+        qy = recs["y"] - anchor[1] - t * v[1]
+        if len(recs) and (qx.min() < 0 or qy.min() < 0 or qx.max() > extent or qy.max() > extent):
+            raise FieldSizingError(
+                f"lookup left the field raster at t={t}; "
+                f"extent {extent:.0f} m is too small for this transit"
+            )
+        ix = np.minimum((qx / pix).astype(np.int64), field.side_px - 1)
+        iy = np.minimum((qy / pix).astype(np.int64), field.side_px - 1)
+        sensors = np.column_stack([recs["x"], recs["y"], _LEVEL_KSTAR[field.levels[iy, ix]]])
+        snaps.append(SensorSnapshot(t=t, sensors=sensors, vehicle_ids=recs["vehicle_id"]))
+    return MeasurementSeries(tuple(snaps), truth, cfg.sampling_period_s)
 
 
 def read_clearsky_pgm(path):

@@ -188,8 +188,15 @@ def test_campaign_zero_sims_exit_1(tmp_path, fleet_csv):
     ids=["timestep-0", "timestep-neg", "period-0", "period-neg", "dmin-0", "dmin-neg", "k-0",
          "dmin-inf", "pixel-nan", "pixel-inf", "halfwidth-nan", "bounds-inf"],
 )
-def test_campaign_bad_parameters_exit_1(tmp_path, fleet_csv, capsys, old, new, message):
+def test_campaign_bad_parameters_exit_1(
+    tmp_path, fleet_csv, capsys, monkeypatch, old, new, message
+):
     # the message tells a validation error from a ValueError raised deeper down
+    def no_field(*args, **kwargs):
+        raise AssertionError("the field was built before the campaign parameters were checked")
+
+    if not message.startswith(("pixel_size_m", "transition_halfwidth")):  # field checks
+        monkeypatch.setattr(cli, "make_clearsky_field", no_field)
     text = CAMPAIGN_CFG.format(traj=fleet_csv)
     assert old in text
     cfg = _write_config(tmp_path, text.replace(old, new))

@@ -9,13 +9,14 @@ from cloudmotion.fleet import (
     ShadowMask,
     TrajectoryDataset,
     TrajectoryParseError,
-    active_sensor_records,
     load_shadow_mask,
     load_trajectories,
     subsample_by_penetration,
     trajectory_table,
 )
+from cloudmotion.fractal_field import ClearSkyField
 from cloudmotion.geometry import Rect
+from cloudmotion.transit import MotionTruth, TransitConfig, run_transit
 from helpers import write_shadow_mask
 
 BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
@@ -275,8 +276,15 @@ def test_mask_sidecar_pixel_size_positive_and_finite(tmp_path, pixel):
         load_shadow_mask(path)
 
 
+def _active(ds, mask, t):
+    """The snapshot at instant t of a transit of a still field over ds."""
+    field = ClearSkyField(levels=np.zeros((128, 128), dtype=np.uint8), pixel_size_m=1.0)
+    cfg = TransitConfig(ds.duration_s, 1, field_anchor=(0.0, 0.0))
+    return run_transit(field, ds, mask, MotionTruth(0.0, 0.0), cfg).snapshots[t]
+
+
 def _positions(ds, mask, t):
-    return active_sensor_records(ds, mask, t)[1].tolist()
+    return _active(ds, mask, t).sensors[:, :2].tolist()
 
 
 def test_active_sensors_mask_exclusion():
@@ -289,23 +297,15 @@ def test_active_sensors_mask_exclusion():
     assert len(without) == 4
     assert len(with_mask) == 3
     assert [5.0, 50.0] not in with_mask
-    ids, _ = active_sensor_records(ds, m, 0)
-    assert ids.tolist() == ["v01", "v02", "v03"]
+    assert _active(ds, m, 0).vehicle_ids.tolist() == ["v01", "v02", "v03"]
 
 
 def test_active_sensors_all_lit_mask_is_identity():
     ds = _make_ds(n_ids=4)
     m = ShadowMask(mask=np.zeros((10, 10), dtype=bool), origin=(0.0, 0.0), pixel_size_m=10.0)
-    lit_ids, lit_xy = active_sensor_records(ds, m, 1)
-    all_ids, all_xy = active_sensor_records(ds, None, 1)
-    assert np.array_equal(lit_ids, all_ids)
-    assert np.array_equal(lit_xy, all_xy)
-
-
-def test_active_sensors_requires_valid_time():
-    ds = _make_ds(n_t=3)
-    with pytest.raises(ValueError):
-        active_sensor_records(ds, None, 7)
+    lit, every = _active(ds, m, 1), _active(ds, None, 1)
+    assert np.array_equal(lit.vehicle_ids, every.vehicle_ids)
+    assert np.array_equal(lit.sensors, every.sensors)
 
 
 @given(st.integers(0, 1000))

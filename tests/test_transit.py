@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cloudmotion.fleet import SensorSnapshot, TrajectoryDataset, trajectory_table
+from cloudmotion.fleet import SensorSnapshot, ShadowMask, TrajectoryDataset, trajectory_table
 from cloudmotion.fractal_field import ClearSkyField, kstar_to_levels
 from cloudmotion.geometry import Rect
 from cloudmotion.transit import (
@@ -17,8 +17,8 @@ from cloudmotion.transit import (
     draw_truth,
     is_valid_event,
     run_transit,
-    sample_field_at,
 )
+from helpers import run_transit_per_instant
 
 BOUNDS = Rect(0.0, 0.0, 600.0, 900.0)
 
@@ -35,10 +35,14 @@ def _coordinate_fields(side=512, pixel=1.0):
     ]
 
 
-def _sampled_pixels(fields, *args):
-    """(row, column) of the pixel each position reads, through sample_field_at."""
+def _sampled_pixels(fields, anchor, truth, t, positions):
+    """(row, column) of the pixel each position reads at instant t, through run_transit."""
+    ds = _fleet([(f"p{i:03d}", t, x, y) for i, (x, y) in enumerate(positions)], t + 1)
+    cfg = TransitConfig(t + 1, 1, field_anchor=anchor)
     lo_y, hi_y, lo_x, hi_x = (
-        kstar_to_levels(sample_field_at(f, *args).sensors[:, 2]).astype(int) for f in fields
+        kstar_to_levels(run_transit(f, ds, None, truth, cfg).snapshots[t].sensors[:, 2])
+        .astype(int)
+        for f in fields
     )
     return list(zip((hi_y << 8 | lo_y).tolist(), (hi_x << 8 | lo_x).tolist()))
 
@@ -131,10 +135,13 @@ def test_sample_same_position_same_value():
 
 
 def test_sample_outside_field_fails_fast():
+    # lookups drift north by 10 m/s from y = 32 m and leave the 64 m raster at t = 4
     field = _flat_field(side=64, pixel=1.0)
-    truth = MotionTruth(10.0, 180.0)  # lookups drift north
-    with pytest.raises(FieldSizingError):
-        sample_field_at(field, (0.0, 0.0), truth, 50, [(32.0, 32.0)])
+    truth = MotionTruth(10.0, 180.0)
+    ds = _static_fleet([(32.0, 32.0)], 50)
+    cfg = TransitConfig(50, 1, field_anchor=(0.0, 0.0))
+    with pytest.raises(FieldSizingError, match="at t=4;"):
+        run_transit(field, ds, None, truth, cfg)
 
 
 @given(
@@ -216,6 +223,56 @@ def test_transit_empty_instant_gives_empty_snapshot():
     ds = _fleet([("v0", t, 300.0, 450.0) for t in (0, 2)], 2)  # nothing at t=1
     series = run_transit(field, ds, None, MotionTruth(2.0, 0.0), TransitConfig(2, 1))
     assert len(series.snapshots[1].sensors) == 0
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    period=st.sampled_from([1, 2, 5]),
+    mask_kind=st.sampled_from(["none", "lit", "random", "dark"]),
+    explicit_anchor=st.booleans(),
+    small_field=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_transit_matches_per_instant_reference(
+    seed, period, mask_kind, explicit_anchor, small_field
+):
+    # sparse records leave instants empty; the dataset runs past the transit
+    # and holds records between sampling instants, which the transit skips
+    rng = np.random.default_rng(seed)
+    duration = period * int(rng.integers(1, 6))
+    ds_duration = duration + int(rng.integers(0, 7))
+    recs = [
+        (f"v{i}", t, rng.uniform(0.0, 600.0), rng.uniform(0.0, 900.0))
+        for i in range(int(rng.integers(0, 7)))
+        for t in range(ds_duration + 1)
+        if rng.random() < 0.6
+    ]
+    table = trajectory_table(*(list(zip(*recs)) or [()] * 4))
+    ds = TrajectoryDataset(table, (0, ds_duration), BOUNDS)
+    shadowed_share = {"lit": 0.0, "random": 0.4, "dark": 1.1}.get(mask_kind)
+    mask = None if shadowed_share is None else ShadowMask(
+        mask=rng.random((18, 12)) < shadowed_share, origin=(0.0, 0.0), pixel_size_m=50.0
+    )
+    # 1536 m covers a 1082 m diagonal plus a 250 m sweep; 512 m does not
+    levels = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+    field = ClearSkyField(levels=levels, pixel_size_m=8.0 if small_field else 24.0)
+    anchor = tuple(rng.uniform(-400.0, 0.0, 2)) if explicit_anchor else None
+    truth = MotionTruth(rng.uniform(0.0, 10.0), rng.uniform(0.0, 360.0))
+    cfg = TransitConfig(duration, period, field_anchor=anchor)
+    try:
+        want = run_transit_per_instant(field, ds, mask, truth, cfg)
+    except FieldSizingError as exc:
+        with pytest.raises(FieldSizingError) as got:
+            run_transit(field, ds, mask, truth, cfg)
+        assert str(got.value) == str(exc)
+        return
+    got = run_transit(field, ds, mask, truth, cfg)
+    assert (got.truth, got.sampling_period_s) == (want.truth, want.sampling_period_s)
+    assert [s.t for s in got.snapshots] == [s.t for s in want.snapshots]
+    for g, w in zip(got.snapshots, want.snapshots):
+        assert g.sensors.shape == w.sensors.shape and g.sensors.tobytes() == w.sensors.tobytes()
+        assert g.vehicle_ids.dtype == w.vehicle_ids.dtype
+        assert g.vehicle_ids.tolist() == w.vehicle_ids.tolist()
 
 
 def test_default_anchor_centers_the_sweep():
