@@ -14,6 +14,7 @@ of the library can be checked for identical results.
     PYTHONPATH=src python scripts/bench.py --sims 30 --out stages.json
 """
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -74,7 +75,7 @@ def run(n_sims: int) -> dict:
     telemetry = {f"{pr:g}": tel for pr, tel in result.telemetry.items()}
     return {
         "env": {"python": platform.python_version(), "numpy": np.__version__,
-                "nproc": os.cpu_count(),
+                "nproc": os.cpu_count(), "numba": importlib.util.find_spec("numba") is not None,
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                 "worker_peak_rss_mb":
                     resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024},

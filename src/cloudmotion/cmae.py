@@ -9,13 +9,13 @@ surface; search_cmv reaches the same estimate while most candidates get
 only cheap lower bounds.
 
 search_cmv is exact successive elimination over a three-level pyramid
-of lower bounds, each tighter and dearer than the last: the all-pairs
-bound (sums over every pair), the block bound (sums over chunks of
-_CHUNK_PAIRS consecutive pairs and _BLOCK x _BLOCK cell blocks) and
-partial distortion, which adds exact chunk SADs one chunk at a time to
-the per-cell bound terms of the chunks still to come.  A candidate that
-survives all three gets its exact SAD from the kernel accumulate_cmae
-uses.
+of lower bounds, each tighter and dearer than the last: the pooled bound
+(sums over every pair and _BLOCK x _BLOCK cell blocks, for every
+candidate in one pass), the block bound (the same per chunk of
+_CHUNK_PAIRS consecutive pairs) and partial distortion, which adds exact
+chunk SADs one chunk at a time to the block terms of the chunks still to
+come.  A candidate that survives all three gets its exact SAD from the
+kernel accumulate_cmae uses.
 """
 from __future__ import annotations
 
@@ -30,24 +30,22 @@ from .gridding import GridSnapshot
 V_CAP_MPS = 40.0
 MIN_OVERLAP_FRACTION = 0.1
 # search_cmv prunes a candidate only when a lower bound on its CMAE is above
-# the third-best CMAE by this relative slack.  The bounds are the all-pairs
-# bound, the block bound and, in partial distortion, the exact SAD of the
-# first chunks plus the per-cell bound terms of the rest (per chunk of
-# _CHUNK_PAIRS consecutive pairs).  The SAD rounds each |a - b| to float32
-# (relative error under 6e-8) before summing in float64, and so do the
-# exact chunk parts; every bound term subtracts float64 sums
-# (over pairs, and over block cells) of the same float32 values.  So a
-# computed bound, mixed or not, can exceed the computed CMAE it bounds by
-# far less than 1e-3 relative: rounding cannot drop a true top-3 candidate
-# or tie.
+# the third-best CMAE by this relative slack.  The bounds are the pooled
+# bound, the block bound and, in partial distortion, the exact SAD of some
+# chunks plus the block terms of the rest (per chunk of _CHUNK_PAIRS
+# consecutive pairs).  The SAD rounds each |a - b| to float32 (relative
+# error under 6e-8) before summing in float64, and so do the exact chunk
+# parts; every bound term subtracts float64 sums (over pairs, and over
+# block cells) of the same float32 values.  So a computed bound, mixed or
+# not, can exceed the computed CMAE it bounds by far less than 1e-3
+# relative: rounding cannot drop a true top-3 candidate or tie.
 _PRUNE_MARGIN = 1e-3
 _CHUNK_PAIRS = 8
-_BLOCK = 3  # side in cells of the blocks of search_cmv's block bound
+_BLOCK = 3  # side in cells of the blocks of search_cmv's pooled and block bounds
 # the counters search_cmv adds to its stats dict
 _STATS_KEYS = (
-    "candidates", "bounds_all_pairs", "bounds_block",
-    "rejected_all_pairs", "rejected_block", "rejected_partial",
-    "partial_chunks", "full_sads",
+    "candidates", "bounds_block", "rejected_pooled", "rejected_block",
+    "rejected_partial", "partial_chunks", "full_sads",
 )
 
 
@@ -178,29 +176,6 @@ def accumulate_cmae(
     return CmaeSurface(displacements=cands, cmae=cmae, pair_count=a_stack.shape[0])
 
 
-def _chunk_terms(a_sums: np.ndarray, b_sums: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    """Per chunk, the sum over overlap cells of |sum_p a_p - sum_p shifted b_p|.
-
-    a_sums and b_sums are (chunks, ny, nx) sums of consecutive pair groups.
-    By the triangle inequality each term is at most that chunk's exact SAD,
-    so their sum over chunks, divided by the overlap size, never exceeds
-    the CMAE (Li & Salari, IEEE TIP 1995); the more chunks, the tighter the
-    bound (Gao, Duanmu & Zou, IEEE TIP 2000).
-    """
-    _, ny, nx = a_sums.shape
-    sa, sb = _overlap_slices(nx, ny, dx, dy)
-    diff = a_sums[(slice(None),) + sa] - b_sums[(slice(None),) + sb]
-    return np.abs(diff, out=diff).sum(axis=(1, 2))
-
-
-def _bounds(
-    a_sums: np.ndarray, b_sums: np.ndarray, cands: np.ndarray, n_cells: np.ndarray
-) -> np.ndarray:
-    """Lower bound on the CMAE per candidate row: _chunk_terms summed, per cell."""
-    sums = [_chunk_terms(a_sums, b_sums, int(dx), int(dy)).sum() for dx, dy in cands]
-    return np.array(sums) / n_cells
-
-
 def _chunk_sums(stack: np.ndarray) -> np.ndarray:
     """(chunks, ny, nx) float64 sums of _CHUNK_PAIRS consecutive pairs.
 
@@ -212,27 +187,53 @@ def _chunk_sums(stack: np.ndarray) -> np.ndarray:
     return padded.reshape(-1, _CHUNK_PAIRS, *stack.shape[1:]).sum(axis=1, dtype=np.float64)
 
 
-def _block_sums(chunks: np.ndarray) -> list:
-    """Chunk sums pooled over q x q cell blocks (q = _BLOCK), one array per parity.
-
-    Entry [py][px] is (chunks, rows, cols): block (j, i) is the sum over
-    rows py + q*j .. py + q*j + q - 1 and the same columns from px + q*i.
-    Only whole blocks are kept.
-    """
+def _box_sums(chunks: np.ndarray) -> np.ndarray:
+    """(chunks, ny - q + 1, nx - q + 1) sums over the q x q cell box at each corner (q = _BLOCK)."""
     q = _BLOCK
     _, ny, nx = chunks.shape
     my, mx = max(ny - q + 1, 0), max(nx - q + 1, 0)  # block corners per axis
     rows = sum(chunks[:, k : k + my] for k in range(q))
-    box = sum(rows[:, :, k : k + mx] for k in range(q))
+    return sum(rows[:, :, k : k + mx] for k in range(q))
+
+
+def _pooled_bounds(a_all, b_all, cands, n_cells) -> np.ndarray:
+    """Lower bound on the CMAE per candidate row: the block bound of the all-pairs sums.
+
+    a_all and b_all are (ny, nx) sums over every pair; one gather per dy
+    takes every dx's whole overlap blocks, tiled as in _block_terms.  By
+    the triangle inequality over pairs and block cells the bound never
+    exceeds the CMAE (Li & Salari, IEEE TIP 1995; Gao, Duanmu & Zou, IEEE
+    TIP 2000).
+    """
+    q = _BLOCK
+    ny, nx = a_all.shape
+    a_box, b_box = _box_sums(a_all[None])[0], _box_sums(b_all[None])[0]
+    terms = np.zeros(cands.shape[0])
+    for dy in np.unique(cands[:, 1]):
+        rows = np.flatnonzero(cands[:, 1] == dy)
+        dxs, ay, ry = cands[rows, 0][:, None], max(0, -dy), (ny - abs(dy)) // q
+        rx = (nx - np.abs(dxs)) // q
+        i = np.arange(rx.max())
+        ax = np.where(i < rx, np.maximum(0, -dxs) + q * i, 0)  # 0 pads the short rows
+        bx = np.where(i < rx, ax + dxs, 0)
+        diff = a_box[ay : ay + q * ry : q][:, ax] - b_box[ay + dy : ay + dy + q * ry : q][:, bx]
+        terms[rows] = (np.abs(diff, out=diff) * (i < rx)).sum(axis=(0, 2))
+    return terms / n_cells
+
+
+def _block_sums(chunks: np.ndarray) -> list:
+    """_box_sums split by corner parity: entry [py][px] holds corners (py + q*j, px + q*i)."""
+    q = _BLOCK
+    box = _box_sums(chunks)
     return [[np.ascontiguousarray(box[:, py::q, px::q]) for px in range(q)] for py in range(q)]
 
 
-def _block_term(a_blocks: list, b_blocks: list, ny: int, nx: int, dx: int, dy: int) -> float:
-    """Sum over chunks and whole overlap blocks of |block sum A - block sum shifted B|.
+def _block_terms(a_blocks: list, b_blocks: list, ny: int, nx: int, dx: int, dy: int) -> np.ndarray:
+    """Per chunk, the sum over whole overlap blocks of |block sum A - block sum shifted B|.
 
-    The blocks tile the overlap from its first cell; by the triangle
-    inequality over each block's cells, and since the cut blocks at the far
-    edges are dropped, this is at most the sum of _chunk_terms.
+    The blocks tile the overlap from its first cell, and the cut blocks at
+    the far edges are dropped.  By the triangle inequality over each
+    block's cells and the chunk's pairs, a term is at most the chunk's SAD.
     """
     q = _BLOCK
     ay, ax = max(0, -dy), max(0, -dx)
@@ -241,27 +242,27 @@ def _block_term(a_blocks: list, b_blocks: list, ny: int, nx: int, dx: int, dy: i
     a = a_blocks[ay % q][ax % q][:, ay // q : ay // q + ry, ax // q : ax // q + rx]
     b = b_blocks[by % q][bx % q][:, by // q : by // q + ry, bx // q : bx // q + rx]
     diff = a - b
-    return float(np.abs(diff, out=diff).sum())
+    return np.abs(diff, out=diff).sum(axis=(1, 2))
 
 
 def _partial_rejects(a_stack, b_stack, dx, dy, terms, limit_sum, counts) -> bool:
     """Partial distortion elimination (Bei & Gray, IEEE Trans. Commun. 1985).
 
-    Adds the exact SAD chunk by chunk and reports whether the exact part
-    plus the chunk terms of the chunks still to come exceeds limit_sum.
-    Its first sum is already at least terms.sum(), the chunk bound, since
-    a chunk's exact SAD is at least its term.
-    The last chunk is never summed here: a candidate that gets that far
-    gets its value from _sad_sums, whose rounding the chunked sum does not
-    share.
+    Adds the exact SAD chunk by chunk, largest block term first, and
+    reports whether the exact part plus the block terms of the chunks
+    still to come exceeds limit_sum: in any order, a lower bound on the
+    SAD.  The last chunk is never summed here: a candidate that gets that
+    far gets its value from _sad_sums, whose rounding the chunked sum does
+    not share.
     """
     _, ny, nx = a_stack.shape
     sa, sb = _overlap_slices(nx, ny, dx, dy)
     a, b = a_stack[(slice(None),) + sa], b_stack[(slice(None),) + sb]
-    rest = np.cumsum(terms[::-1])[::-1]  # rest[k]: chunk terms of chunks k, k + 1, ...
+    order = np.argsort(-terms, kind="stable")
+    rest = np.cumsum(terms[order][::-1])[::-1]  # rest[k]: terms of chunks order[k:]
     exact = 0.0
-    for k in range(1, len(terms)):
-        p = slice((k - 1) * _CHUNK_PAIRS, k * _CHUNK_PAIRS)
+    for k, c in enumerate(order[:-1], 1):
+        p = slice(c * _CHUNK_PAIRS, (c + 1) * _CHUNK_PAIRS)
         diff = a[p] - b[p]
         exact += np.abs(diff, out=diff).sum(dtype=np.float64)
         counts["partial_chunks"] += 1
@@ -279,47 +280,48 @@ def search_cmv(
 ) -> CmvEstimate:
     """estimate_cmv(accumulate_cmae(...)), bit for bit, by successive elimination.
 
-    Every candidate gets the all-pairs bound of _bounds.  Candidates are
-    taken in increasing order of it, and the search stops once it is above
-    the third-best exact CMAE.  With more than one chunk of _CHUNK_PAIRS
-    pairs, a candidate below that limit must then pass two more tests,
-    the second tighter and dearer than the first: the block bound of
-    _block_term, and partial distortion, which swaps the per-cell chunk
-    terms of _chunk_terms for exact chunk SADs one chunk at a time.  A
+    Every candidate gets the pooled bound of _pooled_bounds in one pass.
+    Candidates are taken in increasing order of it, and the search stops
+    once it is above the third-best exact CMAE.  With more than one chunk
+    of _CHUNK_PAIRS pairs, a candidate below that limit must then pass two
+    more tests, the second tighter and dearer than the first: the block
+    bound, the sum of its per-chunk _block_terms, and partial distortion,
+    which swaps those terms for exact chunk SADs one chunk at a time.  A
     candidate that passes both gets its exact CMAE from the same kernel
     accumulate_cmae uses.  Every candidate that could enter the top three,
     ties included, is therefore evaluated, and n_candidates still counts
     the whole admissible set.
 
     If stats is a dict, the search's counters are added to it, so one dict
-    can sum many searches: candidates, bounds computed and candidates
+    can sum many searches: candidates, block bounds computed, candidates
     rejected at each level, chunks summed by partial distortion and full
     exact SADs (the keys of _STATS_KEYS).
     """
     a_stack, b_stack, cands, n_cells = _search_space(grids, timestep_s, dmin, v_cap)
     _, ny, nx = a_stack.shape
     a_chunks, b_chunks = _chunk_sums(a_stack), _chunk_sums(b_stack)
-    bound = _bounds(a_chunks.sum(axis=0)[None], b_chunks.sum(axis=0)[None], cands, n_cells)
+    bound = _pooled_bounds(a_chunks.sum(axis=0), b_chunks.sum(axis=0), cands, n_cells)
     multi_chunk = a_chunks.shape[0] > 1
     blocks = None  # built when the first candidate reaches the block test
-    counts = dict.fromkeys(_STATS_KEYS, 0)
+    counts = {**dict.fromkeys(_STATS_KEYS, 0), "candidates": cands.shape[0]}
 
     evaluated, values = [], []
     best = []  # the three lowest exact CMAEs so far, ascending
-    for i in np.argsort(bound, kind="stable"):
+    for rank, i in enumerate(np.argsort(bound, kind="stable")):
         dx, dy, n = int(cands[i, 0]), int(cands[i, 1]), n_cells[i]
         if len(best) == 3:
             limit = best[2] * (1.0 + _PRUNE_MARGIN)
             if bound[i] > limit:
+                counts["rejected_pooled"] = cands.shape[0] - rank  # this one and every later one
                 break
             if multi_chunk:
                 if blocks is None:
                     blocks = _block_sums(a_chunks), _block_sums(b_chunks)
                 counts["bounds_block"] += 1
-                if _block_term(*blocks, ny, nx, dx, dy) / n > limit:
+                terms = _block_terms(*blocks, ny, nx, dx, dy)
+                if terms.sum() / n > limit:
                     counts["rejected_block"] += 1
                     continue
-                terms = _chunk_terms(a_chunks, b_chunks, dx, dy)
                 if _partial_rejects(a_stack, b_stack, dx, dy, terms, limit * n, counts):
                     counts["rejected_partial"] += 1
                     continue
@@ -329,10 +331,6 @@ def search_cmv(
         values.append(value)
         best = sorted(best + [value])[:3]
     if stats is not None:
-        counts["candidates"] = counts["bounds_all_pairs"] = cands.shape[0]
-        counts["rejected_all_pairs"] = cands.shape[0] - sum(
-            counts[k] for k in ("rejected_block", "rejected_partial", "full_sads")
-        )
         stats.update({k: stats.get(k, 0) + v for k, v in counts.items()})
     partial = CmaeSurface(cands[evaluated], np.array(values), pair_count=a_stack.shape[0])
     return replace(estimate_cmv(partial, timestep_s, dmin), n_candidates=cands.shape[0])

@@ -203,13 +203,13 @@ def _tiled_idw(sensors: np.ndarray, layout: tuple, k: int) -> np.ndarray:
         for slot in range(k):
             dj = d2.min(axis=0)
             j = n_cand - ((d2 == dj) * weight).max(axis=0).astype(np.intp)
-            zj = zc[j, point_tile]
+            zj = zc.ravel()[j * n_tiles + point_tile]
             if slot == 0:
                 nearest, coincident = zj, dj == 0.0
             w = 1.0 / np.sqrt(dj)
             wsum += w
             vsum += w * zj
-            d2[j, points] = np.inf
+            d2.reshape(-1)[j * n_points + points] = np.inf
         values = vsum / wsum
     values[coincident] = nearest[coincident]
     return values

@@ -260,8 +260,8 @@ def _drifting_grids(seed, ny, nx, n_snaps, blur, sigma, v1, v2, switch):
     """A blurred random pattern moving by v1 cells per step, then by v2.
 
     The velocity change blurs the all-pairs sums unevenly, so candidates
-    come out of the all-pairs bound order in an order the chunk bound
-    disagrees with.
+    come out of the pooled bound order in an order the per-chunk levels
+    disagree with.
     """
     rng = np.random.default_rng(seed)
     pad = 2 * n_snaps
@@ -293,7 +293,7 @@ _velocity = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
     switch=st.integers(1, 29),
 )
 # a candidate the per-chunk levels reject comes before a top-3 one in
-# all-pairs bound order: stopping the search at such a rejection fails here
+# pooled bound order: stopping the search at such a rejection fails here
 @example(seed=9271, ny=10, nx=10, n_snaps=19, blur=5, sigma=0.0, v1=(0, -2), v2=(0, 2), switch=12)
 @settings(max_examples=40, deadline=None)
 def test_pruned_search_equals_exhaustive_drifting(seed, ny, nx, n_snaps, blur, sigma, v1, v2, switch):
@@ -318,6 +318,69 @@ def test_pruned_search_chunk_boundaries(n_pairs):
     _assert_pruned_matches_exhaustive(quantised, 10, 10.0, 40.0)
 
 
+def _search_arrays(grids):
+    """(a_stack, b_stack, cands, n_cells, a_chunks, b_chunks) of a search, or None."""
+    try:
+        a_stack, b_stack, cands, n_cells = cmae_mod._search_space(grids, 10, 10.0, 40.0)
+    except InsufficientPairsError:
+        return None
+    a_chunks, b_chunks = cmae_mod._chunk_sums(a_stack), cmae_mod._chunk_sums(b_stack)
+    return a_stack, b_stack, cands, n_cells, a_chunks, b_chunks
+
+
+def _block_terms_reference(a_chunks, b_chunks, dx, dy, q):
+    """Per-chunk block terms, one block at a time from the chunk sums."""
+    _, ny, nx = a_chunks.shape
+    ay0, ay1 = max(0, -dy), ny - max(0, dy)
+    ax0, ax1 = max(0, -dx), nx - max(0, dx)
+    total = np.zeros(a_chunks.shape[0])
+    for y in range(ay0, ay1 - q + 1, q):
+        for x in range(ax0, ax1 - q + 1, q):
+            a = a_chunks[:, y : y + q, x : x + q].sum(axis=(1, 2))
+            b = b_chunks[:, y + dy : y + dy + q, x + dx : x + dx + q].sum(axis=(1, 2))
+            total += np.abs(a - b)
+    return total
+
+
+def _block_bounds(a_chunks, b_chunks, cands):
+    """(candidates, chunks) per-chunk block terms of _block_terms."""
+    _, ny, nx = a_chunks.shape
+    blocks = cmae_mod._block_sums(a_chunks), cmae_mod._block_sums(b_chunks)
+    return np.array(
+        [cmae_mod._block_terms(*blocks, ny, nx, int(dx), int(dy)) for dx, dy in cands]
+    )
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    ny=st.integers(2, 14),
+    nx=st.integers(2, 14),
+    n_snaps=st.integers(2, 20),
+    invalid=st.sets(st.integers(0, 19), max_size=3),
+)
+@example(seed=0, ny=14, nx=13, n_snaps=3, invalid=set())  # overlaps of 1 and 2 rows
+@settings(max_examples=60, deadline=None)
+def test_pooled_bound_matches_block_reference(seed, ny, nx, n_snaps, invalid):
+    # the all-candidate pass against a loop over whole blocks of the
+    # all-pairs sums, one candidate at a time; quarter-integer values keep
+    # every sum exact, so equality is exact.  Overlaps under one block on
+    # either axis have no whole block and a bound of 0.
+    q = cmae_mod._BLOCK
+    arrays = _search_arrays(_random_grids(seed, ny, nx, n_snaps, 4, invalid))
+    if arrays is None:
+        return
+    a_stack, b_stack, cands, n_cells, a_chunks, b_chunks = arrays
+    a_all, b_all = a_chunks.sum(axis=0), b_chunks.sum(axis=0)
+    pooled = cmae_mod._pooled_bounds(a_all, b_all, cands, n_cells)
+    for (dx, dy), n, got in zip(cands, n_cells, pooled):
+        (want,) = _block_terms_reference(a_all[None], b_all[None], int(dx), int(dy), q)
+        assert got == want / n, (dx, dy)
+        if ny - abs(dy) < q or nx - abs(dx) < q:
+            assert got == 0.0
+    exact = cmae_mod._sad_sums(a_stack, b_stack, cands) / n_cells
+    assert np.all(pooled <= exact * (1.0 + cmae_mod._PRUNE_MARGIN))
+
+
 @given(
     seed=st.integers(0, 10_000),
     ny=st.integers(3, 10),
@@ -328,42 +391,33 @@ def test_pruned_search_chunk_boundaries(n_pairs):
 )
 @settings(max_examples=60, deadline=None)
 def test_bounds_are_sound_and_nested(seed, ny, nx, n_snaps, levels, invalid):
-    # all-pairs bound <= chunk bound, block bound <= chunk bound, and chunk
-    # bound <= exact CMAE, up to rounding, for every candidate.  All-pairs
-    # and block bounds are not ordered: with one chunk the block bound is
-    # the all-pairs bound with the cells of each block pooled, so it is
-    # the lower one; with many chunks it is often the higher one.
-    grids = _random_grids(seed, ny, nx, n_snaps, levels, invalid)
-    try:
-        a_stack, b_stack, cands, n_cells = cmae_mod._search_space(grids, 10, 10.0, 40.0)
-    except InsufficientPairsError:
+    # pooled bound <= block bound <= exact CMAE, up to rounding, for every
+    # candidate: the pooled bound is the block bound with the chunks of
+    # each block summed before the absolute value is taken
+    arrays = _search_arrays(_random_grids(seed, ny, nx, n_snaps, levels, invalid))
+    if arrays is None:
         return
-    a_chunks, b_chunks = cmae_mod._chunk_sums(a_stack), cmae_mod._chunk_sums(b_stack)
-    a_all, b_all = a_chunks.sum(axis=0)[None], b_chunks.sum(axis=0)[None]
-    all_pairs = cmae_mod._bounds(a_all, b_all, cands, n_cells)
-    chunked = cmae_mod._bounds(a_chunks, b_chunks, cands, n_cells)
-    blocks = cmae_mod._block_sums(a_chunks), cmae_mod._block_sums(b_chunks)
-    block = np.array(
-        [cmae_mod._block_term(*blocks, ny, nx, int(dx), int(dy)) for dx, dy in cands]
-    ) / n_cells
+    a_stack, b_stack, cands, n_cells, a_chunks, b_chunks = arrays
+    pooled = cmae_mod._pooled_bounds(a_chunks.sum(axis=0), b_chunks.sum(axis=0), cands, n_cells)
+    block = _block_bounds(a_chunks, b_chunks, cands).sum(axis=1) / n_cells
     exact = cmae_mod._sad_sums(a_stack, b_stack, cands) / n_cells
-    assert np.all(all_pairs <= chunked * (1.0 + 1e-12))
-    assert np.all(block <= chunked * (1.0 + 1e-12))
-    assert np.all(chunked <= exact * (1.0 + cmae_mod._PRUNE_MARGIN))
+    assert np.all(pooled <= block * (1.0 + 1e-12))
+    assert np.all(block <= exact * (1.0 + cmae_mod._PRUNE_MARGIN))
 
 
-def _block_term_reference(a_chunks, b_chunks, dx, dy, q):
-    """Block bound sum, one block at a time from the chunk sums."""
-    _, ny, nx = a_chunks.shape
-    ay0, ay1 = max(0, -dy), ny - max(0, dy)
-    ax0, ax1 = max(0, -dx), nx - max(0, dx)
-    total = 0.0
-    for y in range(ay0, ay1 - q + 1, q):
-        for x in range(ax0, ax1 - q + 1, q):
-            a = a_chunks[:, y : y + q, x : x + q].sum(axis=(1, 2))
-            b = b_chunks[:, y + dy : y + dy + q, x + dx : x + dx + q].sum(axis=(1, 2))
-            total += np.abs(a - b).sum()
-    return total
+@pytest.mark.parametrize("n_pairs", [8, 9, 17, 30])
+def test_block_terms_at_most_chunk_sads(n_pairs):
+    # partial distortion swaps a chunk's block term for its exact SAD, in
+    # any order: each term must be at most that chunk's SAD, the short
+    # tail chunk included
+    arrays = _search_arrays(_random_grids(5 + n_pairs, 10, 11, n_pairs + 1, levels=0))
+    a_stack, b_stack, cands, _, a_chunks, b_chunks = arrays
+    terms = _block_bounds(a_chunks, b_chunks, cands)
+    assert terms.shape == (len(cands), -(-n_pairs // cmae_mod._CHUNK_PAIRS))
+    for c in range(terms.shape[1]):
+        p = slice(c * cmae_mod._CHUNK_PAIRS, (c + 1) * cmae_mod._CHUNK_PAIRS)
+        sads = cmae_mod._sad_sums(a_stack[p], b_stack[p], cands)
+        assert np.all(terms[:, c] <= sads * (1.0 + cmae_mod._PRUNE_MARGIN))
 
 
 @pytest.mark.parametrize("ny, nx", [(10, 11), (13, 8), (4, 7)])
@@ -381,8 +435,9 @@ def test_block_bound_parities(ny, nx):
         for dy in shifts:
             if abs(dx) >= nx or abs(dy) >= ny:
                 continue
-            got = cmae_mod._block_term(*blocks, ny, nx, dx, dy)
-            assert got == _block_term_reference(a_chunks, b_chunks, dx, dy, q), (dx, dy)
+            got = cmae_mod._block_terms(*blocks, ny, nx, dx, dy)
+            want = _block_terms_reference(a_chunks, b_chunks, dx, dy, q)
+            assert np.array_equal(got, want), (dx, dy)
     _assert_pruned_matches_exhaustive(grids, 10, 10.0, 40.0)
 
 
@@ -448,7 +503,7 @@ def _counted_search(monkeypatch, grids, stats=None):
 
 
 def test_pruned_search_skips_most_candidates_on_smooth_field(monkeypatch):
-    # 4 pairs, one chunk: the all-pairs bound prunes on its own, and far
+    # 4 pairs, one chunk: the pooled bound prunes on its own, and far
     # displacements are never given an exact SAD
     grids = _smooth_translation_grids(5, 80, 20)
     est, evaluated = _counted_search(monkeypatch, grids)
@@ -459,13 +514,14 @@ def test_pruned_search_skips_most_candidates_on_smooth_field(monkeypatch):
 
 def test_chunk_bounds_prune_more_on_long_smooth_series(monkeypatch):
     # 17 pairs: two full chunks and a 1-pair tail. The moving pattern blurs
-    # the all-pairs sums (479 exact SADs with that level alone); the chunk
-    # sums keep it sharp (119 with the block bound, 5 with partial distortion)
+    # the all-pairs sums (722 exact SADs with the pooled level alone); the
+    # chunk sums keep it sharp (149 with the block bound, 5 with partial
+    # distortion)
     n_snaps = 18
     grids = _smooth_translation_grids(n_snaps, 120, 60)
     est, two_level = _counted_search(monkeypatch, grids)
     with monkeypatch.context() as m:
-        m.setattr(cmae_mod, "_CHUNK_PAIRS", n_snaps)  # one chunk: all-pairs bound only
+        m.setattr(cmae_mod, "_CHUNK_PAIRS", n_snaps)  # one chunk: pooled bound only
         one_level_est, one_level = _counted_search(monkeypatch, grids)
     assert est.top3[0] == (3, -2, 0.0)
     assert two_level < est.n_candidates // 10
@@ -475,7 +531,7 @@ def test_chunk_bounds_prune_more_on_long_smooth_series(monkeypatch):
 
 
 def test_partial_distortion_cuts_full_sads_on_long_smooth_series(monkeypatch):
-    # the 17-pair series above: 119 full SADs without partial distortion,
+    # the 17-pair series above: 149 full SADs without partial distortion,
     # 5 with it; a rejection may use the chunked sums, a survivor may not
     grids = _smooth_translation_grids(18, 120, 60)
     stats = {}
@@ -497,11 +553,11 @@ def test_search_stats(monkeypatch, n_snaps):
     assert est == search_cmv(grids, 10, 5.0, v_cap=20.0)
     assert list(stats) == list(cmae_mod._STATS_KEYS)
     assert stats["full_sads"] == full
-    assert stats["candidates"] == stats["bounds_all_pairs"] == est.n_candidates
-    rejected = [stats[k] for k in ("rejected_all_pairs", "rejected_block", "rejected_partial")]
+    assert stats["candidates"] == est.n_candidates
+    rejected = [stats[k] for k in ("rejected_pooled", "rejected_block", "rejected_partial")]
     assert sum(rejected) + full == est.n_candidates
     assert stats["rejected_partial"] <= stats["bounds_block"] - stats["rejected_block"]
-    if n_snaps == 5:  # one chunk: the all-pairs level alone
+    if n_snaps == 5:  # one chunk: the pooled level alone
         assert stats["bounds_block"] == stats["partial_chunks"] == 0
     # a second search into the same dict adds its counters to the first's
     once = dict(stats)

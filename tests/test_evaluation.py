@@ -145,7 +145,7 @@ def test_campaign_deterministic_and_jobs_invariant():
         assert counters == {k: v for k, v in r3.telemetry[pr].items() if k not in seconds}
         assert counters["candidates"] > 0
         assert counters["candidates"] == sum(
-            counters[k] for k in ("rejected_all_pairs", "rejected_block", "rejected_partial",
+            counters[k] for k in ("rejected_pooled", "rejected_block", "rejected_partial",
                                   "full_sads")
         )
 
