@@ -5,6 +5,7 @@ The desk-scale campaign (criteria 3-5) runs once as a session fixture:
 30 seeded simulations, dmin 10 m, time step 10 s, 1 s sampling, nested
 penetration subsets {0.1, 0.4, 0.7, 1.0} with paired truth draws.
 """
+import hashlib
 import math
 import time
 
@@ -13,7 +14,13 @@ import pytest
 
 from cloudmotion.cli import main as cli_main
 from cloudmotion.cmae import accumulate_cmae, displacement_candidates, estimate_cmv
-from cloudmotion.evaluation import CampaignConfig, direction_error, run_campaign
+from cloudmotion.evaluation import (
+    CampaignConfig,
+    direction_error,
+    run_campaign,
+    write_results_csv,
+    write_scatter_csvs,
+)
 from cloudmotion.fleet import SensorSnapshot
 from cloudmotion.fractal_field import (
     ClearSkyField,
@@ -33,6 +40,17 @@ DMIN = 10.0
 TIMESTEP = 10
 PR_LIST = (0.1, 0.4, 0.7, 1.0)
 N_SIMS = 30
+
+# sha256 of the desk campaign's output files (numpy 2.4): every simulation
+# at every penetration rate, so any change to transit sampling, validity,
+# gridding or the search that moves one estimate shows here
+CRITERION_3_DIGESTS = {
+    "results.csv": "ac61f81450b1aaa364cc340745b3bc61356a864de2d1eaf28204582a6b9e3344",
+    "scatter_d10_t10_pr0.1.csv": "1e96e29a20cbaea3ce0219919b9c0145680afe433303cdb922844718daf7c48c",
+    "scatter_d10_t10_pr0.4.csv": "74aa1a19726c06960062b2b575799ee1ee6788d348289c7a92acb9afbeab357e",
+    "scatter_d10_t10_pr0.7.csv": "79a6126d702de478857c3037b8002a37de6977ec05732ce78e641b3502c15b95",
+    "scatter_d10_t10_pr1.csv": "286e18d5e43731cdef345d91b5c49b7844e3e4960d1ea3f79d6acf09f998f489",
+}
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -138,6 +156,14 @@ def test_criterion_3_desk_scale_rmse(desk_campaign):
         f"rmse_direction {cell.rmse_direction:.2f} deg (<= 20), "
         f"n_valid {cell.n_valid}/{N_SIMS}, campaign {elapsed:.0f}s (<= 600)",
     )
+
+
+def test_criterion_3_output_digests(desk_campaign, tmp_path):
+    result, _ = desk_campaign
+    write_results_csv(result, tmp_path / "results.csv")
+    write_scatter_csvs(result, tmp_path)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert got == CRITERION_3_DIGESTS
 
 
 def test_criterion_4_penetration_monotonicity(desk_campaign):
