@@ -215,6 +215,9 @@ def cmd_campaign(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_results_csv(result, out / "results.csv")
     write_scatter_csvs(result, out)
+    # per pr, summed over simulations: stage seconds and the search counters
+    timings = {f"{pr:g}": tel for pr, tel in result.telemetry.items()}
+    (out / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
     _write_manifest(args, out, input_paths, {"base": base_seed, "field": field_seed})
     print(f"wrote {out / 'results.csv'} ({len(result.cells)} cells, "
           f"{campaign.n_simulations} simulations)")

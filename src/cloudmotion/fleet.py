@@ -62,6 +62,35 @@ def trajectory_table(vehicle_id, t, x, y) -> np.ndarray:
     return table
 
 
+@dataclass(eq=False)
+class SamplingLayout:
+    """The records a transit samples, which do not depend on the truth draw.
+
+    t, x, y and vehicle_ids are parallel columns of the records at sampling
+    instants and off shadowed mask pixels, sorted by (t, vehicle_id); rows
+    cuts[i]:cuts[i + 1] belong to the i-th sampling instant.  row_text is
+    transit.export_series' memo of the rows' t,x,y text.
+    """
+
+    duration_s: int
+    sampling_period_s: int
+    mask: Optional[ShadowMask]
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    vehicle_ids: np.ndarray
+    cuts: list
+    row_text: Optional[list] = field(default=None, repr=False)
+    _codes: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def vehicle_codes(self) -> np.ndarray:
+        """Integer code of each row's vehicle, equal codes for equal ids."""
+        if self._codes is None:
+            self._codes = np.unique(self.vehicle_ids, return_inverse=True)[1]
+        return self._codes
+
+
 @dataclass(frozen=True, eq=False)
 class TrajectoryDataset:
     """Per-second vehicle positions over an observation window.
@@ -76,6 +105,8 @@ class TrajectoryDataset:
     window: tuple
     bounds: Rect
     _by_t: dict = field(init=False, repr=False)
+    # the last sampling layout built; pickles and copies start without it
+    _layout: Optional[SamplingLayout] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         length = self.window[1] - self.window[0]
@@ -90,6 +121,10 @@ class TrajectoryDataset:
         by_t = {a: slice(b, c) for a, b, c in zip(times.tolist(), starts.tolist(), ends.tolist())}
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_by_t", by_t)
+        object.__setattr__(self, "_layout", None)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_layout": None}
 
     @property
     def duration_s(self) -> int:
@@ -98,6 +133,41 @@ class TrajectoryDataset:
     def records_at(self, t: int) -> np.ndarray:
         """Records at t, id-sorted: a structured array of vehicle_id, t, x, y."""
         return self.table[self._by_t.get(t, slice(0))]
+
+    def sampling_layout(
+        self, duration_s: int, sampling_period_s: int, mask: Optional[ShadowMask]
+    ) -> SamplingLayout:
+        """The records at t = 0, period, ..., duration_s that stand on lit ground.
+
+        The layout of the last (duration_s, sampling_period_s, mask object)
+        asked for is kept and returned again while those stay the same; the
+        table and the mask raster are read-only, so it cannot go stale.  A
+        record off the mask raster raises MaskCoverageError, and nothing is kept.
+        """
+        memo = self._layout
+        if (
+            memo is not None
+            and memo.mask is mask
+            and (memo.duration_s, memo.sampling_period_s) == (duration_s, sampling_period_s)
+        ):
+            return memo
+        recs = self.table
+        recs = recs[(recs["t"] <= duration_s) & (recs["t"] % sampling_period_s == 0)]
+        if mask is not None:
+            recs = recs[~mask.is_shadowed(recs["x"], recs["y"])]
+        t = np.ascontiguousarray(recs["t"])
+        # every t is a sampling instant, and t is sorted
+        cuts = np.searchsorted(t, range(0, duration_s + 1, sampling_period_s)).tolist()
+        layout = SamplingLayout(
+            duration_s, sampling_period_s, mask,
+            t=t,
+            x=np.ascontiguousarray(recs["x"]),
+            y=np.ascontiguousarray(recs["y"]),
+            vehicle_ids=np.ascontiguousarray(recs["vehicle_id"]),
+            cuts=cuts + [len(t)],
+        )
+        object.__setattr__(self, "_layout", layout)
+        return layout
 
 
 @dataclass(frozen=True)
@@ -111,6 +181,12 @@ class ShadowMask:
     mask: np.ndarray
     origin: tuple
     pixel_size_m: float
+
+    def __post_init__(self) -> None:
+        # a read-only copy: a dataset's sampling layout is keyed on the mask object
+        mask = np.array(self.mask)
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
 
     def is_shadowed(self, x, y) -> np.ndarray:
         """Shadow flag of the pixel under each point.

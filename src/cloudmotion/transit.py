@@ -5,7 +5,9 @@ direction (degrees clockwise from north; 0 moves north, 90 east).  One
 lookup pass reads the field at every active vehicle record of every
 sampling instant, nearest pixel, and the rows are cut into the measurement
 stream the estimator sees: one SensorSnapshot of (x, y, kstar) array rows
-per instant.
+per instant.  Which records are active does not depend on the truth draw,
+so the dataset keeps them as a SamplingLayout that every series of the
+same duration, sampling period and mask shares.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fleet import SensorSnapshot, ShadowMask, TrajectoryDataset
+from .fleet import SamplingLayout, SensorSnapshot, ShadowMask, TrajectoryDataset
 from .fractal_field import _LEVEL_KSTAR, ClearSkyField
 from .geometry import Rect
 
@@ -69,11 +71,16 @@ class TransitConfig:
 
 @dataclass(frozen=True)
 class MeasurementSeries:
-    """Snapshots at uniform spacing, first to last sampling instant inclusive."""
+    """Snapshots at uniform spacing, first to last sampling instant inclusive.
+
+    layout is the SamplingLayout that run_transit cut the snapshots from, or
+    None for a series built by hand.
+    """
 
     snapshots: tuple
     truth: MotionTruth
     sampling_period_s: int
+    layout: Optional[SamplingLayout] = None
 
     def __post_init__(self) -> None:
         ts = [s.t for s in self.snapshots]
@@ -116,13 +123,14 @@ def run_transit(
 ) -> MeasurementSeries:
     """Sweep the field over the fleet and read it at every sampling instant.
 
-    One pass over the records: keep those at sampling instants, drop the
-    ones on shadowed mask pixels, look the field up for all of them at once
-    and cut the rows into per-instant snapshots.  The field translates with
-    the truth velocity, so the value seen at world position p at time t
-    sits at p - anchor - t*v in field coordinates; the containing pixel is
-    the nearest-pixel lookup.  Lookups outside the raster mean the field was
-    sized or anchored wrong: fail fast, naming the first such instant.
+    The dataset's sampling layout holds the records at sampling instants
+    that are not on shadowed mask pixels; one pass looks the field up for
+    all of them at once and cuts the rows into per-instant snapshots.  The
+    field translates with the truth velocity, so the value seen at world
+    position p at time t sits at p - anchor - t*v in field coordinates; the
+    containing pixel is the nearest-pixel lookup.  Lookups outside the
+    raster mean the field was sized or anchored wrong: fail fast, naming the
+    first such instant.
     """
     if ds.duration_s < cfg.duration_s:
         raise ValueError(
@@ -131,11 +139,8 @@ def run_transit(
     anchor = cfg.field_anchor
     if anchor is None:
         anchor = default_field_anchor(field, ds.bounds, truth, cfg.duration_s)
-    recs = ds.table
-    recs = recs[(recs["t"] <= cfg.duration_s) & (recs["t"] % cfg.sampling_period_s == 0)]
-    if mask is not None:
-        recs = recs[~mask.is_shadowed(recs["x"], recs["y"])]
-    t, x, y = recs["t"], recs["x"], recs["y"]
+    layout = ds.sampling_layout(cfg.duration_s, cfg.sampling_period_s, mask)
+    t, x, y = layout.t, layout.x, layout.y
     v = truth.velocity
     qx = x - anchor[0] - t * v[0]
     qy = y - anchor[1] - t * v[1]
@@ -150,15 +155,13 @@ def run_transit(
     ix = np.minimum((qx / pix).astype(np.int64), field.side_px - 1)
     iy = np.minimum((qy / pix).astype(np.int64), field.side_px - 1)
     sensors = np.column_stack([x, y, _LEVEL_KSTAR[field.levels[iy, ix]]])
-    ids = recs["vehicle_id"]
-    # rows are sorted by (t, vehicle_id) and every t is a sampling instant
-    cuts = np.searchsorted(t, cfg.sample_times).tolist() + [len(t)]
+    ids, cuts = layout.vehicle_ids, layout.cuts
     snaps = tuple(
         SensorSnapshot(t=s, sensors=sensors[a:b], vehicle_ids=ids[a:b])
         for s, a, b in zip(cfg.sample_times, cuts, cuts[1:])
     )
     return MeasurementSeries(
-        snapshots=snaps, truth=truth, sampling_period_s=cfg.sampling_period_s
+        snapshots=snaps, truth=truth, sampling_period_s=cfg.sampling_period_s, layout=layout
     )
 
 
@@ -178,38 +181,86 @@ def is_valid_event(
     """
     if not series.snapshots:
         raise ValueError("empty measurement series")
+    snaps = series.snapshots
+    counts = [len(s.vehicle_ids) for s in snaps]
+    x, y, k = np.concatenate([s.sensors[:n] for s, n in zip(snaps, counts)]).T
+    if series.layout is not None:
+        codes = series.layout.vehicle_codes
+    else:
+        codes = np.unique(np.concatenate([s.vehicle_ids for s in snaps]), return_inverse=True)[1]
+    snap = np.repeat(np.arange(len(snaps)), counts)
     c = bounds.central_ninth()
-    tol = 1e-6
-    prev_ids, prev_k = np.empty(0, dtype=str), np.empty(0)
-    qualifying = 0
-    for snap in series.snapshots:
-        ids = snap.vehicle_ids
-        x, y, k = snap.sensors[: len(ids)].T
-        central = (c.x0 <= x) & (x < c.x1) & (c.y0 <= y) & (y < c.y1)
-        ids_c, k_c = ids[central], k[central]
-        if k_c.size:
-            values, counts = np.unique(k_c, return_counts=True)
-            reference = np.full(k_c.shape, values[counts == counts.max()][-1])
-            _, here, before = np.intersect1d(
-                ids_c, prev_ids, assume_unique=True, return_indices=True
-            )
-            reference[here] = prev_k[before]
-            qualifying += bool((np.abs(k_c - reference) > tol).any())
-        prev_ids, prev_k = ids, k
+    central = (c.x0 <= x) & (x < c.x1) & (c.y0 <= y) & (y < c.y1)
+    snap_c, k_c = snap[central], k[central]
+    # the same vehicle one snapshot earlier, found by (snapshot, vehicle) key
+    n_codes = int(codes.max(initial=0)) + 1
+    key = snap * n_codes + codes
+    order = np.argsort(key, kind="stable")
+    wanted = key[central] - n_codes
+    at = np.minimum(np.searchsorted(key[order], wanted), max(len(key) - 1, 0))
+    before = order[at]
+    has_before = key[before] == wanted
+    # the modal central k* per snapshot: runs of equal (snapshot, value) in
+    # value order, stably sorted by count, so the last of a snapshot wins
+    values, value_code = np.unique(k_c, return_inverse=True)
+    n_values = max(len(values), 1)
+    runs, run_n = np.unique(snap_c * n_values + value_code, return_counts=True)
+    runs = runs[np.lexsort((run_n, runs // n_values))]
+    run_s = runs // n_values
+    top = np.ones(len(runs), dtype=bool)
+    top[:-1] = run_s[1:] != run_s[:-1]
+    mode = np.empty(len(snaps))
+    mode[run_s[top]] = values[runs[top] % n_values]
+    reference = np.where(has_before, k[before], mode[snap_c])
+    qualifying = np.unique(snap_c[np.abs(k_c - reference) > 1e-6]).size
     return (qualifying - 1) * series.sampling_period_s > min_variability_s
 
 
+# "%.6f" text of the k* of every 8-bit level, with the row's newline
+_KSTAR_F64 = _LEVEL_KSTAR.astype(np.float64)
+_KSTAR_TEXT = np.array(["%.6f\n" % k for k in _KSTAR_F64.tolist()], dtype=object)
+
+
+def _row_text(t: list, x: np.ndarray, y: np.ndarray) -> list:
+    """The "t,x.xxx,y.yyy," start of each exported row."""
+    return [f"{a},{b:.3f},{c:.3f}," for a, b, c in zip(t, x.tolist(), y.tolist())]
+
+
+def _kstar_text(kstar: np.ndarray) -> list:
+    """The "%.6f" k* text that ends each exported row, newline included:
+    looked up for the 256 level values, bit for bit, formatted for others."""
+    i = np.minimum(np.searchsorted(_KSTAR_F64, kstar), len(_KSTAR_F64) - 1)
+    text = _KSTAR_TEXT[i]
+    other = _KSTAR_F64[i].view(np.int64) != kstar.view(np.int64)
+    if other.any():
+        text[other] = ["%.6f\n" % k for k in kstar[other].tolist()]
+    return text.tolist()
+
+
 def export_series(series: MeasurementSeries, cfg: TransitConfig, path) -> None:
-    """Interchange dump: one JSON header line, then t,x,y,kstar rows."""
+    """Interchange dump: one JSON header line, then t,x,y,kstar rows.
+
+    The t,x,y text of a run_transit series is formatted once per sampling
+    layout and kept on it.
+    """
     header = {
         "truth": {"speed_mps": series.truth.speed, "direction_deg": series.truth.direction_deg},
         "duration_s": cfg.duration_s,
         "sampling_period_s": cfg.sampling_period_s,
         "seed": cfg.seed,
     }
-    parts = ["# " + json.dumps(header, sort_keys=True) + "\nt,x,y,kstar\n"]
-    for snap in series.snapshots:
-        # one %-format per snapshot, over Python floats (faster than numpy scalars)
-        row = f"{snap.t},%.3f,%.3f,%.6f\n"
-        parts.append((row * len(snap.sensors)) % tuple(snap.sensors.ravel().tolist()))
-    Path(path).write_text("".join(parts))
+    snaps = series.snapshots
+    sensors = np.concatenate([s.sensors for s in snaps] or [np.empty((0, 3))])
+    layout = series.layout
+    if layout is None:
+        t = [s.t for s in snaps for _ in range(len(s.sensors))]
+        rows = _row_text(t, sensors[:, 0], sensors[:, 1])
+    else:
+        if layout.row_text is None:
+            layout.row_text = _row_text(layout.t.tolist(), layout.x, layout.y)
+        rows = layout.row_text
+    parts = [None] * (2 * len(rows))
+    parts[::2] = rows
+    parts[1::2] = _kstar_text(np.ascontiguousarray(sensors[:, 2]))
+    head = "# " + json.dumps(header, sort_keys=True) + "\nt,x,y,kstar\n"
+    Path(path).write_text(head + "".join(parts))

@@ -1,4 +1,7 @@
 """Shared test constructions: exact-translation grid series and friends."""
+import json
+from pathlib import Path
+
 import numpy as np
 
 from cloudmotion.fleet import SensorSnapshot
@@ -41,6 +44,22 @@ def run_transit_per_instant(field, ds, mask, truth, cfg):
         sensors = np.column_stack([recs["x"], recs["y"], _LEVEL_KSTAR[field.levels[iy, ix]]])
         snaps.append(SensorSnapshot(t=t, sensors=sensors, vehicle_ids=recs["vehicle_id"]))
     return MeasurementSeries(tuple(snaps), truth, cfg.sampling_period_s)
+
+
+def export_series_per_snapshot(series, cfg, path):
+    """export_series one snapshot at a time, one %-format each: the reference
+    for its memoised row text and table-indexed k* text."""
+    header = {
+        "truth": {"speed_mps": series.truth.speed, "direction_deg": series.truth.direction_deg},
+        "duration_s": cfg.duration_s,
+        "sampling_period_s": cfg.sampling_period_s,
+        "seed": cfg.seed,
+    }
+    parts = ["# " + json.dumps(header, sort_keys=True) + "\nt,x,y,kstar\n"]
+    for snap in series.snapshots:
+        row = f"{snap.t},%.3f,%.3f,%.6f\n"
+        parts.append((row * len(snap.sensors)) % tuple(snap.sensors.ravel().tolist()))
+    Path(path).write_text("".join(parts))
 
 
 def read_clearsky_pgm(path):

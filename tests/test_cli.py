@@ -154,6 +154,19 @@ def test_campaign_rerun_byte_identical(tmp_path, fleet_csv):
         assert (out3 / name).read_bytes() == ref
 
 
+def test_campaign_writes_timings(tmp_path, fleet_csv):
+    text = CAMPAIGN_CFG.format(traj=fleet_csv).replace("pr_list = 1.0", "pr_list = 0.5,1.0")
+    out = tmp_path / "out"
+    assert main(["campaign", "--config", str(_write_config(tmp_path, text)), "--out", str(out)]) == 0
+    timings = json.loads((out / "timings.json").read_text())
+    assert list(timings) == ["0.5", "1"]
+    levels = ("rejected_pooled", "rejected_block", "rejected_partial", "full_sads")
+    for pr, tel in timings.items():
+        assert {"transit_s", "validity_s", "gridding_s", "search_s"} <= tel.keys()
+        assert all(tel[k] >= 0 for k in tel), (pr, tel)
+        assert sum(tel[k] for k in levels) == tel["candidates"] > 0, (pr, tel)
+
+
 def test_campaign_missing_inputs_exit_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, CAMPAIGN_CFG.format(traj=tmp_path / "missing.csv"))
     assert main(["campaign", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

@@ -257,6 +257,15 @@ def test_mask_coverage_error():
             m.is_shadowed(x, y)
 
 
+def test_mask_raster_is_a_read_only_copy():
+    raster = np.zeros((10, 10), dtype=bool)
+    m = ShadowMask(mask=raster, origin=(0.0, 0.0), pixel_size_m=10.0)
+    with pytest.raises(ValueError, match="read-only"):
+        m.mask[0, 0] = True
+    raster[0, 0] = True  # the caller's array stays theirs
+    assert not m.is_shadowed(5.0, 5.0)
+
+
 def test_mask_round_trip(tmp_path):
     m = _checkerboard_mask()
     path = tmp_path / "mask.pgm"

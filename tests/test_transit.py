@@ -1,12 +1,22 @@
 import math
+import pickle
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cloudmotion.fleet import SensorSnapshot, ShadowMask, TrajectoryDataset, trajectory_table
-from cloudmotion.fractal_field import ClearSkyField, kstar_to_levels
+from cloudmotion.fleet import (
+    MaskCoverageError,
+    SensorSnapshot,
+    ShadowMask,
+    TrajectoryDataset,
+    trajectory_table,
+)
+from cloudmotion.fractal_field import _LEVEL_KSTAR, ClearSkyField, kstar_to_levels
 from cloudmotion.geometry import Rect
 from cloudmotion.transit import (
     FieldSizingError,
@@ -15,10 +25,11 @@ from cloudmotion.transit import (
     TransitConfig,
     default_field_anchor,
     draw_truth,
+    export_series,
     is_valid_event,
     run_transit,
 )
-from helpers import run_transit_per_instant
+from helpers import export_series_per_snapshot, run_transit_per_instant
 
 BOUNDS = Rect(0.0, 0.0, 600.0, 900.0)
 
@@ -418,3 +429,150 @@ def test_validity_matches_per_sensor_reference(seed, n_snaps):
     series = MeasurementSeries(tuple(snaps), MotionTruth(1.0, 0.0), 1)
     for m in (0, 3, 10, 20):
         assert is_valid_event(series, BOUNDS, m) == _is_valid_event_reference(series, BOUNDS, m)
+
+
+# ------------------------------------------------------- sampling layouts
+
+def _layout_scenario():
+    """One dataset for every example, so layouts are kept across calls: 12
+    vehicles over 40 s with gaps, a field wide enough for any truth draw,
+    and masks keyed by name (building_copy is a new object each call)."""
+    rng = np.random.default_rng(5)
+    recs = [
+        (f"v{i:02d}", t, rng.uniform(0.0, 600.0), rng.uniform(0.0, 900.0))
+        for i in range(12)
+        for t in range(41)
+        if rng.random() < 0.7
+    ]
+    ds = _fleet(recs, 40)
+    # 128 px at 24 m: 3072 m covers a 1082 m diagonal plus 40 s at 30 m/s
+    field = ClearSkyField(levels=rng.integers(0, 256, (128, 128), dtype=np.uint8), pixel_size_m=24.0)
+    building = rng.random((18, 12)) < 0.3
+
+    def mask(raster):
+        return ShadowMask(mask=raster, origin=(0.0, 0.0), pixel_size_m=50.0)
+
+    masks = {
+        "none": None,
+        "lit": mask(np.zeros((18, 12), dtype=bool)),
+        "building": mask(building),
+        "dark": mask(np.ones((18, 12), dtype=bool)),
+    }
+    return ds, field, masks, lambda: mask(building)
+
+
+_LAYOUT_DS, _LAYOUT_FIELD, _LAYOUT_MASKS, _building_copy = _layout_scenario()
+
+
+@given(
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(["none", "lit", "building", "building_copy", "dark"]),
+            st.sampled_from([1, 2, 5]),
+            st.integers(1, 8),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_layout_memo_matches_per_instant_reference(calls):
+    # interleaved masks, periods, durations and truths on one dataset: each
+    # series equals the per-instant sampling of a fresh copy, its export the
+    # per-snapshot formatter's bytes and its verdict the per-sensor rule's
+    with tempfile.TemporaryDirectory() as tmp:
+        got_csv, want_csv = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        for mask_kind, period, steps, seed in calls:
+            mask = _building_copy() if mask_kind == "building_copy" else _LAYOUT_MASKS[mask_kind]
+            cfg = TransitConfig(period * steps, period, seed=seed)
+            truth = draw_truth(seed)
+            got = run_transit(_LAYOUT_FIELD, _LAYOUT_DS, mask, truth, cfg)
+            fresh = pickle.loads(pickle.dumps(_LAYOUT_DS))
+            want = run_transit_per_instant(_LAYOUT_FIELD, fresh, mask, truth, cfg)
+            assert [s.t for s in got.snapshots] == [s.t for s in want.snapshots]
+            for g, w in zip(got.snapshots, want.snapshots):
+                assert g.sensors.tobytes() == w.sensors.tobytes()
+                assert g.sensors.shape == w.sensors.shape
+                assert g.vehicle_ids.tolist() == w.vehicle_ids.tolist()
+            export_series(got, cfg, got_csv)
+            export_series_per_snapshot(want, cfg, want_csv)
+            assert got_csv.read_bytes() == want_csv.read_bytes()
+            for m in (0, 2, 10):
+                expected = _is_valid_event_reference(want, BOUNDS, m)
+                assert is_valid_event(got, BOUNDS, m) == expected
+                assert is_valid_event(replace(got, layout=None), BOUNDS, m) == expected
+
+
+def test_layout_kept_per_duration_period_and_mask_object():
+    field = _flat_field()
+    ds = _static_fleet([(100.0, 100.0), (500.0, 800.0)], 20)
+    lit = ShadowMask(mask=np.zeros((18, 12), dtype=bool), origin=(0.0, 0.0), pixel_size_m=50.0)
+    first = run_transit(field, ds, lit, MotionTruth(3.0, 10.0), TransitConfig(10, 1))
+    again = run_transit(field, ds, lit, MotionTruth(7.0, 200.0), TransitConfig(10, 1, seed=4))
+    assert again.layout is first.layout
+    equal_raster = ShadowMask(mask=lit.mask, origin=(0.0, 0.0), pixel_size_m=50.0)
+    for mask, cfg in ((equal_raster, TransitConfig(10, 1)), (lit, TransitConfig(10, 2)),
+                      (lit, TransitConfig(20, 1)), (None, TransitConfig(10, 1))):
+        other = run_transit(field, ds, mask, MotionTruth(3.0, 10.0), cfg)
+        assert other.layout is not first.layout
+        assert run_transit(field, ds, mask, MotionTruth(3.0, 10.0), cfg).layout is other.layout
+    # a pickled dataset starts without a layout
+    copy = pickle.loads(pickle.dumps(ds))
+    assert run_transit(field, copy, None, MotionTruth(3.0, 10.0), TransitConfig(10, 1)).layout \
+        is not other.layout
+
+
+def test_layout_not_kept_on_mask_coverage_error():
+    field = _flat_field()
+    ds = _static_fleet([(100.0, 100.0), (500.0, 800.0)], 10)
+    small = ShadowMask(mask=np.zeros((2, 2), dtype=bool), origin=(0.0, 0.0), pixel_size_m=50.0)
+    kept = run_transit(field, ds, None, MotionTruth(3.0, 10.0), TransitConfig(10, 1)).layout
+    for _ in range(2):
+        with pytest.raises(MaskCoverageError, match="outside mask raster"):
+            run_transit(field, ds, small, MotionTruth(3.0, 10.0), TransitConfig(10, 1))
+    assert run_transit(field, ds, None, MotionTruth(1.0, 0.0), TransitConfig(10, 1)).layout is kept
+
+
+def _snapshot(t, rows, ids=None):
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    ids = [f"v{i}" for i in range(len(rows))] if ids is None else ids
+    return SensorSnapshot(t=t, sensors=rows, vehicle_ids=ids)
+
+
+_OFF_TABLE = [0.1234565, 1e-7, -0.0, 1.2, float("nan"), float("inf"), -3.5]
+
+
+@pytest.mark.parametrize(
+    "snapshots",
+    [
+        # k* off the level table next to level values; x and y at rounding edges
+        (
+            _snapshot(0, [(0.0005, -0.0, k) for k in _OFF_TABLE]),
+            _snapshot(1, [(-12.3456, 1e6, k) for k in _LEVEL_KSTAR[[0, 17, 128, 255]].tolist()]),
+        ),
+        # empty instants between sampled ones, and rows without ids
+        (_snapshot(0, []), _snapshot(1, [(1.0, 2.0, 0.5)]), _snapshot(2, []),
+         _snapshot(3, [(3.0, 4.0, _LEVEL_KSTAR[9])], ids=[])),
+        # every instant empty (an all-shadowed mask): header only
+        (_snapshot(0, []), _snapshot(1, [])),
+        (),
+    ],
+    ids=["off-table", "empty-instants", "all-empty", "no-snapshots"],
+)
+def test_export_hand_built_matches_per_snapshot_reference(tmp_path, snapshots):
+    series = MeasurementSeries(snapshots, MotionTruth(2.5, 45.0), 1)
+    cfg = TransitConfig(len(snapshots) or 1, 1, seed=3)
+    export_series(series, cfg, tmp_path / "got.csv")
+    export_series_per_snapshot(series, cfg, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_export_all_shadowed_layout_gives_header_only(tmp_path):
+    dark = _LAYOUT_MASKS["dark"]
+    cfg = TransitConfig(10, 1)
+    series = run_transit(_LAYOUT_FIELD, _LAYOUT_DS, dark, MotionTruth(3.0, 0.0), cfg)
+    export_series(series, cfg, tmp_path / "got.csv")
+    export_series_per_snapshot(series, cfg, tmp_path / "want.csv")
+    got = (tmp_path / "got.csv").read_text()
+    assert got == (tmp_path / "want.csv").read_text() and got.splitlines()[1:] == ["t,x,y,kstar"]
