@@ -7,6 +7,7 @@ keep every simulation because a single outlier can dominate the RMSE.
 """
 from __future__ import annotations
 
+import ctypes
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -126,6 +127,32 @@ def _init_worker(cfg: CampaignConfig, ds_by_pr: dict) -> None:
     _STATE["ds_by_pr"] = ds_by_pr
 
 
+# glibc raises its mmap threshold to the largest mmapped block freed so far
+# (up to 32 MiB) and keeps up to twice that free at the top of its heap, so a
+# forked worker inherits whatever its parent last freed: arrays below that
+# size come from the heap, and where they land there, hence the worker's peak
+# resident set, depends on the parent's heap at fork.  Pool workers pin both
+# thresholds and hand the inherited free heap back, so every worker allocates
+# its MiB-sized arrays the same way.
+_WORKER_MMAP_THRESHOLD_B = 1 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, malloc.h
+
+
+def _init_pool_worker(cfg: CampaignConfig, ds_by_pr: dict) -> None:
+    try:
+        libc = ctypes.CDLL(None)
+        mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
+    except (AttributeError, OSError, TypeError):
+        pass  # not glibc: no inherited thresholds to pin
+    else:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        malloc_trim.argtypes, malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD_B)
+        mallopt(_M_TRIM_THRESHOLD, 2 * _WORKER_MMAP_THRESHOLD_B)
+        malloc_trim(0)
+    _init_worker(cfg, ds_by_pr)
+
+
 def _simulate_one(sim_index: int) -> dict:
     cfg: CampaignConfig = _STATE["cfg"]
     ds_by_pr: dict = _STATE["ds_by_pr"]
@@ -182,7 +209,7 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
     sims = range(cfg.n_simulations)
     if jobs > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(cfg, ds_by_pr)
+            max_workers=jobs, initializer=_init_pool_worker, initargs=(cfg, ds_by_pr)
         ) as pool:
             # one simulation per task: simulation times differ between
             # truth draws, so fixed shares can leave a worker idle
