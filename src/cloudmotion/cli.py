@@ -236,6 +236,10 @@ def cmd_export_series(args) -> int:
     if n_series < 1:
         raise ConfigError("n_series must be >= 1")
     bounds, ds, mask, input_paths = _load_scenario(cfg)
+    # a fleet or mask that cannot serve the transit fails before the costly field build
+    ds.check_duration(tcfg.duration_s)
+    if mask is not None:
+        mask.check_covers(bounds)
     field = _build_field(cfg, bounds, tcfg.duration_s, _get(cfg, "field_seed", int, seed + 1))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -83,10 +83,18 @@ class CampaignConfig:
                 )
             if ts % self.sampling_period_s != 0:
                 raise ValueError("timesteps must be multiples of the sampling period")
+        if self.duration_s <= 0:
+            raise ValueError("duration and sampling period must be positive")
         if self.duration_s % self.sampling_period_s != 0:
             raise ValueError("duration must be a multiple of the sampling period")
-        if self.mask is not None and not self.mask.covers(self.bounds):
-            raise ValueError("shadow mask does not cover the observation bounds")
+        self.dataset.check_duration(self.duration_s)
+        for pr in self.pr_list:
+            if not 0.0 < pr <= 1.0:
+                raise ValueError(f"penetration rate must be in (0, 1], got {pr}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        if self.mask is not None:
+            self.mask.check_covers(self.bounds)
 
 
 @dataclass(frozen=True)

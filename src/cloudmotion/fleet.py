@@ -68,8 +68,9 @@ class SamplingLayout:
 
     t, x, y and vehicle_ids are parallel columns of the records at sampling
     instants and off shadowed mask pixels, sorted by (t, vehicle_id); rows
-    cuts[i]:cuts[i + 1] belong to the i-th sampling instant.  row_text is
-    transit.export_series' memo of the rows' t,x,y text.
+    cuts[i]:cuts[i + 1] belong to the i-th sampling instant.  A
+    transit.MeasurementSeries adds one k* column parallel to the rows.
+    row_text is transit.export_series' memo of the rows' t,x,y text.
     """
 
     duration_s: int
@@ -89,6 +90,11 @@ class SamplingLayout:
         if self._codes is None:
             self._codes = np.unique(self.vehicle_ids, return_inverse=True)[1]
         return self._codes
+
+    @property
+    def instants(self) -> range:
+        """The sampling instants t = 0, period, ..., duration_s."""
+        return range(0, self.duration_s + 1, self.sampling_period_s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +135,13 @@ class TrajectoryDataset:
     @property
     def duration_s(self) -> int:
         return self.window[1] - self.window[0]
+
+    def check_duration(self, duration_s: int) -> None:
+        """Raise ValueError unless the records span a transit of duration_s."""
+        if self.duration_s < duration_s:
+            raise ValueError(
+                f"dataset covers {self.duration_s} s but the transit needs {duration_s} s"
+            )
 
     def records_at(self, t: int) -> np.ndarray:
         """Records at t, id-sorted: a structured array of vehicle_id, t, x, y."""
@@ -205,14 +218,16 @@ class ShadowMask:
             )
         return self.mask[iy, ix]
 
-    def covers(self, bounds: Rect) -> bool:
+    def check_covers(self, bounds: Rect) -> None:
+        """Raise ValueError unless the raster covers all of bounds."""
         ny, nx = self.mask.shape
-        return (
+        if not (
             self.origin[0] <= bounds.x0
             and self.origin[1] <= bounds.y0
             and self.origin[0] + nx * self.pixel_size_m >= bounds.x1
             and self.origin[1] + ny * self.pixel_size_m >= bounds.y1
-        )
+        ):
+            raise ValueError("shadow mask does not cover the observation bounds")
 
 
 def load_trajectories(path, bounds: Rect, window: Optional[tuple] = None) -> TrajectoryDataset:
@@ -298,6 +313,8 @@ def load_shadow_mask(pgm_path) -> ShadowMask:
     if len(parts) != 3:
         raise ValueError(f"{sidecar}: expected 'origin_x origin_y pixel_size'")
     x0, y0, pix = (float(p) for p in parts)
+    if not np.isfinite([x0, y0]).all():
+        raise ValueError(f"{sidecar}: origin must be finite, got ({x0}, {y0})")
     if not 0 < pix < np.inf:
         raise ValueError(f"{sidecar}: pixel size must be positive and finite, got {pix}")
     return ShadowMask(mask=levels < 128, origin=(x0, y0), pixel_size_m=pix)

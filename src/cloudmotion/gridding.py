@@ -121,11 +121,12 @@ def idw_interpolate(snapshot: SensorSnapshot, spec: GridSpec, k_neighbors: int =
 
 
 def grid_series(series: MeasurementSeries, spec: GridSpec, k_neighbors: int = 3) -> list:
-    """One GridSnapshot per snapshot, invalid ones kept in place.
+    """One GridSnapshot per sampling instant, invalid ones kept in place.
 
-    Bit for bit what idw_interpolate gives per snapshot, but each tile of
-    the lattice only weighs the sensors that can be among its points' k
-    nearest (see the module docstring).  The grids are views of one block.
+    An instant's sensors are the rows between two of the layout's cuts.  Bit
+    for bit what idw_interpolate gives per snapshot, but each tile of the
+    lattice only weighs the sensors that can be among its points' k nearest
+    (see the module docstring).  The grids are views of one block.
     """
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
@@ -140,32 +141,34 @@ def grid_series(series: MeasurementSeries, spec: GridSpec, k_neighbors: int = 3)
     tile_y, tile_x = np.divmod(np.arange(nty * ntx), ntx)
     offsets = np.arange(_TILE)[:, None]
     point_tile = np.tile(np.arange(nty * ntx), _TILE * _TILE)
-    layout = (ys, xs, tile_y * _TILE + offsets, tile_x * _TILE + offsets, point_tile)
+    tiles = (ys, xs, tile_y * _TILE + offsets, tile_x * _TILE + offsets, point_tile)
 
-    block = np.empty((len(series.snapshots), ny, nx))
+    layout, z = series.layout, series.kstar
+    x, y, cuts = layout.x, layout.y, layout.cuts
+    block = np.empty((len(cuts) - 1, ny, nx))
     grids = []
-    for values, snap in zip(block, series.snapshots):
-        valid = len(snap.sensors) >= k_neighbors
+    for values, t, a, b in zip(block, layout.instants, cuts, cuts[1:]):
+        valid = b - a >= k_neighbors
         if valid:
-            tiled = _tiled_idw(snap.sensors, layout, k_neighbors)
+            tiled = _tiled_idw(x[a:b], y[a:b], z[a:b], tiles, k_neighbors)
             tiled = tiled.reshape(_TILE, _TILE, nty, ntx).transpose(2, 0, 3, 1)
             values[...] = tiled.reshape(nty * _TILE, ntx * _TILE)[:ny, :nx]
         else:
             values.fill(np.nan)
-        grids.append(GridSnapshot(t=snap.t, values=values, valid=valid))
+        grids.append(GridSnapshot(t=t, values=values, valid=valid))
     return grids
 
 
-def _tiled_idw(sensors: np.ndarray, layout: tuple, k: int) -> np.ndarray:
+def _tiled_idw(x: np.ndarray, y: np.ndarray, z: np.ndarray, tiles: tuple, k: int) -> np.ndarray:
     """IDW values of every padded lattice point, in grid_series' point order."""
-    ys, xs, tile_row, tile_col, point_tile = layout
+    ys, xs, tile_row, tile_col, point_tile = tiles
     n_tiles = tile_row.shape[1]
-    order = np.lexsort((sensors[:, 1], sensors[:, 0]))  # canonical, as idw_interpolate
+    order = np.lexsort((y, x))  # canonical, as idw_interpolate
     n = len(order)
     # Per-axis squared offsets, (lattice rows or columns, sensors + 1); the
     # last sensor is a sentinel at infinity that pads candidate lists.
-    ry = (ys[:, None] - np.append(sensors[order, 1], np.inf)) ** 2
-    cx = (xs[:, None] - np.append(sensors[order, 0], np.inf)) ** 2
+    ry = (ys[:, None] - np.append(y[order], np.inf)) ** 2
+    cx = (xs[:, None] - np.append(x[order], np.inf)) ** 2
 
     # Squared distance from each tile to each sensor: from its nearest and
     # from its farthest point.  k sensors lie within limit of every point of
@@ -191,7 +194,7 @@ def _tiled_idw(sensors: np.ndarray, layout: tuple, k: int) -> np.ndarray:
     d2 = d2.reshape(n_cand, -1)
     n_points = d2.shape[1]
     points = np.arange(n_points)
-    zc = np.append(sensors[order, 2], 0.0)[cand]
+    zc = np.append(z[order], 0.0)[cand]
 
     # k passes; each takes the first candidate at the minimum, the lowest
     # canonical index, as argmin does in idw_interpolate: that candidate's

@@ -1,13 +1,12 @@
 """Cloud-shadow transits over a mobile sensor network.
 
 A clear-sky-index field sweeps the observation area at constant speed and
-direction (degrees clockwise from north; 0 moves north, 90 east).  One
-lookup pass reads the field at every active vehicle record of every
-sampling instant, nearest pixel, and the rows are cut into the measurement
-stream the estimator sees: one SensorSnapshot of (x, y, kstar) array rows
-per instant.  Which records are active does not depend on the truth draw,
-so the dataset keeps them as a SamplingLayout that every series of the
-same duration, sampling period and mask shares.
+direction (degrees clockwise from north; 0 moves north, 90 east).  Which
+vehicle records are active at the sampling instants does not depend on the
+truth draw, so the dataset keeps them as a SamplingLayout that every series
+of the same duration, sampling period and mask shares.  One lookup pass
+reads the field at all of its rows, nearest pixel: a measurement series is
+that layout plus one k* column.
 """
 from __future__ import annotations
 
@@ -25,6 +24,10 @@ from .geometry import Rect
 
 SPEED_MIN_MPS = 1.0
 SPEED_MAX_MPS = 30.0
+
+# k* of every 8-bit level as float64, and its "%.6f" text with the row's newline
+_KSTAR_F64 = _LEVEL_KSTAR.astype(np.float64)
+_KSTAR_TEXT = np.array(["%.6f\n" % k for k in _KSTAR_F64.tolist()], dtype=object)
 
 
 class FieldSizingError(ValueError):
@@ -71,21 +74,35 @@ class TransitConfig:
 
 @dataclass(frozen=True)
 class MeasurementSeries:
-    """Snapshots at uniform spacing, first to last sampling instant inclusive.
+    """One transit: the sampled rows, their clear-sky index and the truth.
 
-    layout is the SamplingLayout that run_transit cut the snapshots from, or
-    None for a series built by hand.
+    layout holds the rows and their cuts into sampling instants; kstar is
+    the float64 k* of each row.  Series of one dataset, duration, sampling
+    period and mask share the layout and differ in kstar and truth only.
     """
 
-    snapshots: tuple
+    layout: SamplingLayout
+    kstar: np.ndarray
     truth: MotionTruth
-    sampling_period_s: int
-    layout: Optional[SamplingLayout] = None
 
     def __post_init__(self) -> None:
-        ts = [s.t for s in self.snapshots]
-        if any(b - a != self.sampling_period_s for a, b in zip(ts, ts[1:])):
-            raise ValueError("snapshots must be uniformly spaced by the sampling period")
+        layout = self.layout
+        if len(self.kstar) != len(layout.t) or len(layout.cuts) != len(layout.instants) + 1:
+            raise ValueError("kstar must parallel the layout rows, cut once per instant plus one")
+
+    @property
+    def sampling_period_s(self) -> int:
+        return self.layout.sampling_period_s
+
+    @property
+    def snapshots(self) -> tuple:
+        """One SensorSnapshot of (x, y, kstar) rows per instant, built anew on each call."""
+        layout, cuts = self.layout, self.layout.cuts
+        sensors = np.column_stack([layout.x, layout.y, self.kstar])
+        return tuple(
+            SensorSnapshot(t=t, sensors=sensors[a:b], vehicle_ids=layout.vehicle_ids[a:b])
+            for t, a, b in zip(layout.instants, cuts, cuts[1:])
+        )
 
 
 def draw_truth(rng_seed: int) -> MotionTruth:
@@ -125,17 +142,14 @@ def run_transit(
 
     The dataset's sampling layout holds the records at sampling instants
     that are not on shadowed mask pixels; one pass looks the field up for
-    all of them at once and cuts the rows into per-instant snapshots.  The
+    all of them at once, and the series is that layout plus its k*.  The
     field translates with the truth velocity, so the value seen at world
     position p at time t sits at p - anchor - t*v in field coordinates; the
     containing pixel is the nearest-pixel lookup.  Lookups outside the
     raster mean the field was sized or anchored wrong: fail fast, naming the
     first such instant.
     """
-    if ds.duration_s < cfg.duration_s:
-        raise ValueError(
-            f"dataset covers {ds.duration_s} s but the transit needs {cfg.duration_s} s"
-        )
+    ds.check_duration(cfg.duration_s)
     anchor = cfg.field_anchor
     if anchor is None:
         anchor = default_field_anchor(field, ds.bounds, truth, cfg.duration_s)
@@ -154,15 +168,7 @@ def run_transit(
         )
     ix = np.minimum((qx / pix).astype(np.int64), field.side_px - 1)
     iy = np.minimum((qy / pix).astype(np.int64), field.side_px - 1)
-    sensors = np.column_stack([x, y, _LEVEL_KSTAR[field.levels[iy, ix]]])
-    ids, cuts = layout.vehicle_ids, layout.cuts
-    snaps = tuple(
-        SensorSnapshot(t=s, sensors=sensors[a:b], vehicle_ids=ids[a:b])
-        for s, a, b in zip(cfg.sample_times, cuts, cuts[1:])
-    )
-    return MeasurementSeries(
-        snapshots=snaps, truth=truth, sampling_period_s=cfg.sampling_period_s, layout=layout
-    )
+    return MeasurementSeries(layout, _KSTAR_F64[field.levels[iy, ix]], truth)
 
 
 def is_valid_event(
@@ -176,19 +182,13 @@ def is_valid_event(
     one -- differs by more than 1e-6 from the instant's modal central value.
     Qualifying instants need not be contiguous; the event is valid when they
     span more than min_variability_s, i.e. (count - 1) * period exceeds it.
-    Snapshots without vehicle ids have no per-vehicle history and never
-    qualify.  The modal value's ties go to the larger (clearer) one.
+    The modal value's ties go to the larger (clearer) one.
     """
-    if not series.snapshots:
+    layout, k, cuts = series.layout, series.kstar, series.layout.cuts
+    if len(cuts) < 2:
         raise ValueError("empty measurement series")
-    snaps = series.snapshots
-    counts = [len(s.vehicle_ids) for s in snaps]
-    x, y, k = np.concatenate([s.sensors[:n] for s, n in zip(snaps, counts)]).T
-    if series.layout is not None:
-        codes = series.layout.vehicle_codes
-    else:
-        codes = np.unique(np.concatenate([s.vehicle_ids for s in snaps]), return_inverse=True)[1]
-    snap = np.repeat(np.arange(len(snaps)), counts)
+    x, y, codes = layout.x, layout.y, layout.vehicle_codes
+    snap = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
     c = bounds.central_ninth()
     central = (c.x0 <= x) & (x < c.x1) & (c.y0 <= y) & (y < c.y1)
     snap_c, k_c = snap[central], k[central]
@@ -209,21 +209,11 @@ def is_valid_event(
     run_s = runs // n_values
     top = np.ones(len(runs), dtype=bool)
     top[:-1] = run_s[1:] != run_s[:-1]
-    mode = np.empty(len(snaps))
+    mode = np.empty(len(cuts) - 1)
     mode[run_s[top]] = values[runs[top] % n_values]
     reference = np.where(has_before, k[before], mode[snap_c])
     qualifying = np.unique(snap_c[np.abs(k_c - reference) > 1e-6]).size
     return (qualifying - 1) * series.sampling_period_s > min_variability_s
-
-
-# "%.6f" text of the k* of every 8-bit level, with the row's newline
-_KSTAR_F64 = _LEVEL_KSTAR.astype(np.float64)
-_KSTAR_TEXT = np.array(["%.6f\n" % k for k in _KSTAR_F64.tolist()], dtype=object)
-
-
-def _row_text(t: list, x: np.ndarray, y: np.ndarray) -> list:
-    """The "t,x.xxx,y.yyy," start of each exported row."""
-    return [f"{a},{b:.3f},{c:.3f}," for a, b, c in zip(t, x.tolist(), y.tolist())]
 
 
 def _kstar_text(kstar: np.ndarray) -> list:
@@ -240,7 +230,7 @@ def _kstar_text(kstar: np.ndarray) -> list:
 def export_series(series: MeasurementSeries, cfg: TransitConfig, path) -> None:
     """Interchange dump: one JSON header line, then t,x,y,kstar rows.
 
-    The t,x,y text of a run_transit series is formatted once per sampling
+    The "t,x.xxx,y.yyy," start of each row is formatted once per sampling
     layout and kept on it.
     """
     header = {
@@ -249,18 +239,13 @@ def export_series(series: MeasurementSeries, cfg: TransitConfig, path) -> None:
         "sampling_period_s": cfg.sampling_period_s,
         "seed": cfg.seed,
     }
-    snaps = series.snapshots
-    sensors = np.concatenate([s.sensors for s in snaps] or [np.empty((0, 3))])
     layout = series.layout
-    if layout is None:
-        t = [s.t for s in snaps for _ in range(len(s.sensors))]
-        rows = _row_text(t, sensors[:, 0], sensors[:, 1])
-    else:
-        if layout.row_text is None:
-            layout.row_text = _row_text(layout.t.tolist(), layout.x, layout.y)
-        rows = layout.row_text
+    if layout.row_text is None:
+        t, x, y = (column.tolist() for column in (layout.t, layout.x, layout.y))
+        layout.row_text = [f"{a},{b:.3f},{c:.3f}," for a, b, c in zip(t, x, y)]
+    rows = layout.row_text
     parts = [None] * (2 * len(rows))
     parts[::2] = rows
-    parts[1::2] = _kstar_text(np.ascontiguousarray(sensors[:, 2]))
+    parts[1::2] = _kstar_text(series.kstar)
     head = "# " + json.dumps(header, sort_keys=True) + "\nt,x,y,kstar\n"
     Path(path).write_text(head + "".join(parts))

@@ -1,10 +1,11 @@
 """Shared test constructions: exact-translation grid series and friends."""
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from cloudmotion.fleet import SensorSnapshot
+from cloudmotion.fleet import SamplingLayout, SensorSnapshot
 from cloudmotion.fractal_field import _LEVEL_KSTAR, ClearSkyField
 from cloudmotion.gridding import GridSnapshot
 from cloudmotion.rasters import read_pgm, sidecar_path, write_pgm
@@ -43,7 +44,31 @@ def run_transit_per_instant(field, ds, mask, truth, cfg):
         iy = np.minimum((qy / pix).astype(np.int64), field.side_px - 1)
         sensors = np.column_stack([recs["x"], recs["y"], _LEVEL_KSTAR[field.levels[iy, ix]]])
         snaps.append(SensorSnapshot(t=t, sensors=sensors, vehicle_ids=recs["vehicle_id"]))
-    return MeasurementSeries(tuple(snaps), truth, cfg.sampling_period_s)
+    return SimpleNamespace(
+        snapshots=tuple(snaps), truth=truth, sampling_period_s=cfg.sampling_period_s
+    )
+
+
+def series_from_snapshots(snapshots, truth, sampling_period_s=1):
+    """A MeasurementSeries of hand-built SensorSnapshots at t = 0, p, 2p, ...
+
+    Their rows become one SamplingLayout without a mask; rows without
+    vehicle ids get the id "".
+    """
+    p = sampling_period_s
+    assert [s.t for s in snapshots] == list(range(0, len(snapshots) * p, p))
+    counts = [len(s.sensors) for s in snapshots]
+    rows = np.concatenate([s.sensors for s in snapshots] + [np.empty((0, 3))])
+    ids = [s.vehicle_ids if s.vehicle_ids.size else [""] * n for s, n in zip(snapshots, counts)]
+    layout = SamplingLayout(
+        (len(snapshots) - 1) * p, p, None,
+        t=np.repeat(np.arange(len(snapshots), dtype=np.int64) * p, counts),
+        x=rows[:, 0].copy(),
+        y=rows[:, 1].copy(),
+        vehicle_ids=np.concatenate([np.asarray(i, dtype=str) for i in ids] + [np.array([], str)]),
+        cuts=np.cumsum([0] + counts).tolist(),
+    )
+    return MeasurementSeries(layout, rows[:, 2].copy(), truth)
 
 
 def export_series_per_snapshot(series, cfg, path):

@@ -197,9 +197,16 @@ def test_campaign_zero_sims_exit_1(tmp_path, fleet_csv):
         ("field_seed = 99", "field_seed = 99\ntransition_halfwidth = nan",
          "transition_halfwidth must be positive and finite"),
         ("bounds = 0,0,300,300", "bounds = 0,0,inf,300", "non-finite rectangle"),
+        ("pr_list = 1.0", "pr_list = 0", "penetration rate must be in (0, 1], got 0.0"),
+        ("pr_list = 1.0", "pr_list = 1.5", "penetration rate must be in (0, 1], got 1.5"),
+        ("pr_list = 1.0", "pr_list = nan", "penetration rate must be in (0, 1], got nan"),
+        ("duration_s = 60", "duration_s = 0", "duration and sampling period must be positive"),
+        ("duration_s = 60", "duration_s = 90", "dataset covers 60 s but the transit needs 90 s"),
+        ("base_seed = 2", "base_seed = -1", "base_seed must be >= 0, got -1"),
     ],
     ids=["timestep-0", "timestep-neg", "period-0", "period-neg", "dmin-0", "dmin-neg", "k-0",
-         "dmin-inf", "pixel-nan", "pixel-inf", "halfwidth-nan", "bounds-inf"],
+         "dmin-inf", "pixel-nan", "pixel-inf", "halfwidth-nan", "bounds-inf", "pr-0",
+         "pr-above-1", "pr-nan", "duration-0", "duration-past-fleet", "seed-neg"],
 )
 def test_campaign_bad_parameters_exit_1(
     tmp_path, fleet_csv, capsys, monkeypatch, old, new, message
@@ -294,6 +301,28 @@ def test_export_bad_sampling_period_exit_1_before_field(
     text = EXPORT_CFG.format(traj=fleet_csv, extra="")
     assert old in text
     cfg = _write_config(tmp_path, text.replace(old, new))
+    out = tmp_path / "o"
+    assert main(["export", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["fleet-too-short", "mask-short-of-bounds"])
+def test_export_bad_scenario_exit_1_before_field(tmp_path, fleet_csv, capsys, monkeypatch, case):
+    def no_field(*args, **kwargs):
+        raise AssertionError("the field was built before the scenario was checked")
+
+    monkeypatch.setattr(cli, "make_clearsky_field", no_field)
+    text = EXPORT_CFG.format(traj=fleet_csv, extra="")
+    if case == "fleet-too-short":
+        text = text.replace("duration_s = 30", "duration_s = 500")
+        message = "dataset covers 60 s but the transit needs 500 s"
+    else:  # a 200 m raster under 300 m bounds
+        small = ShadowMask(mask=np.zeros((20, 20), dtype=bool), origin=(0.0, 0.0), pixel_size_m=10.0)
+        write_shadow_mask(small, tmp_path / "small.pgm")
+        text += f"mask = {tmp_path / 'small.pgm'}\n"
+        message = "shadow mask does not cover the observation bounds"
+    cfg = _write_config(tmp_path, text)
     out = tmp_path / "o"
     assert main(["export", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

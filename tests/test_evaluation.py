@@ -19,6 +19,7 @@ from cloudmotion.evaluation import (
     write_results_csv,
     write_scatter_csvs,
 )
+from cloudmotion.fleet import ShadowMask
 from cloudmotion.fractal_field import ClearSkyField, auto_pixel_size, make_clearsky_field, required_field_side
 from cloudmotion.geometry import Rect
 from cloudmotion.synth import random_walk_fleet
@@ -104,6 +105,28 @@ def test_campaign_validates_n_simulations():
 def test_campaign_validates_parameters(override):
     with pytest.raises(ValueError):
         _small_config(**override)
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"pr_list": (0.0,)}, "penetration rate must be in (0, 1], got 0.0"),
+        ({"pr_list": (1.0, 1.5)}, "penetration rate must be in (0, 1], got 1.5"),
+        ({"pr_list": (np.nan,)}, "penetration rate must be in (0, 1], got nan"),
+        ({"duration_s": 0}, "duration and sampling period must be positive"),
+        ({"duration_s": DURATION + 10}, f"dataset covers {DURATION} s but the transit needs"),
+        ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
+        ({"mask": ShadowMask(np.zeros((2, 2), dtype=bool), (0.0, 0.0), 100.0)},
+         "shadow mask does not cover the observation bounds"),
+    ],
+    ids=["pr-0", "pr-above-1", "pr-nan", "duration-0", "duration-past-fleet", "seed-neg",
+         "mask-short-of-bounds"],
+)
+def test_campaign_checks_sweep_and_scenario(override, message):
+    # each of these used to surface only in a simulation, after the field was built
+    with pytest.raises(ValueError) as exc:
+        _small_config(**override)
+    assert message in str(exc.value)
 
 
 @pytest.mark.parametrize("corners", [(0, 0, np.inf, 300), (-np.inf, 0, 300, 300), (0, np.nan, 300, 300)])

@@ -285,6 +285,15 @@ def test_mask_sidecar_pixel_size_positive_and_finite(tmp_path, pixel):
         load_shadow_mask(path)
 
 
+@pytest.mark.parametrize("origin", ["nan 0", "0 inf", "-inf nan"])
+def test_mask_sidecar_origin_finite(tmp_path, origin):
+    path = tmp_path / "mask.pgm"
+    write_shadow_mask(_checkerboard_mask(), path)
+    path.with_suffix(".txt").write_text(f"{origin} 10\n")
+    with pytest.raises(ValueError, match="origin must be finite"):
+        load_shadow_mask(path)
+
+
 def _active(ds, mask, t):
     """The snapshot at instant t of a transit of a still field over ds."""
     field = ClearSkyField(levels=np.zeros((128, 128), dtype=np.uint8), pixel_size_m=1.0)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cloudmotion.fleet import SensorSnapshot, subsample_by_penetration
+from cloudmotion.fleet import SensorSnapshot, ShadowMask, subsample_by_penetration
 from cloudmotion.fractal_field import auto_pixel_size, make_clearsky_field, required_field_side
 from cloudmotion.geometry import Rect
 from cloudmotion.gridding import _TILE, GridSpec, grid_series, idw_interpolate
 from cloudmotion.synth import random_walk_fleet
-from cloudmotion.transit import MeasurementSeries, MotionTruth, TransitConfig, draw_truth, run_transit
+from cloudmotion.transit import MotionTruth, TransitConfig, draw_truth, run_transit
+from helpers import series_from_snapshots
 
 
 def _snap(sensors, t=0):
@@ -181,9 +182,7 @@ def test_idw_matches_stable_argsort_reference(case):
 # ------------------------------------------------------------- grid_series
 
 def _series(snapshots):
-    return MeasurementSeries(
-        snapshots=tuple(snapshots), truth=MotionTruth(1.0, 0.0), sampling_period_s=1
-    )
+    return series_from_snapshots(snapshots, MotionTruth(1.0, 0.0))
 
 
 def test_grid_series_cardinality_and_invalid_passthrough():
@@ -276,6 +275,24 @@ def test_grid_series_more_than_255_candidates():
     sensors = [(12.5, 7.5, z) for z in rng.uniform(0.09, 1.2, 300)] + [(40.0, 40.0, 0.3)]
     spec = GridSpec(Rect(0.0, 0.0, 60.0, 60.0), 5.0)
     _assert_matches_reference(_series([_snap(sensors)]), spec, 3)
+
+
+@pytest.mark.parametrize("period", [1, 2])
+def test_grid_series_matches_idw_interpolate_masked_transit(period):
+    # four vehicles under a building mask that shades about 60 % of the
+    # ground: instants with no sensor, with fewer than k and with k or more
+    bounds = Rect(0.0, 0.0, 300.0, 300.0)
+    pixel = auto_pixel_size(256, required_field_side(60, 30.0, bounds.diagonal))
+    field = make_clearsky_field(256, 1.5, seed=3, pixel_size_m=pixel)
+    rng = np.random.default_rng(0)
+    mask = ShadowMask(mask=rng.random((6, 6)) < 0.6, origin=(0.0, 0.0), pixel_size_m=50.0)
+    ds = random_walk_fleet(4, bounds, 60, seed=0)
+    series = run_transit(field, ds, mask, draw_truth(0), TransitConfig(60, period))
+    counts = {len(s.sensors) for s in series.snapshots}
+    assert {0, 1, 2} <= counts and max(counts) >= 3
+    grids = grid_series(series, GridSpec(bounds, 10.0), 3)
+    assert [g.t for g in grids] == list(range(0, 61, period))
+    _assert_matches_reference(series, GridSpec(bounds, 10.0), 3)
 
 
 @pytest.fixture(scope="module")

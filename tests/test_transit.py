@@ -29,7 +29,7 @@ from cloudmotion.transit import (
     is_valid_event,
     run_transit,
 )
-from helpers import export_series_per_snapshot, run_transit_per_instant
+from helpers import export_series_per_snapshot, run_transit_per_instant, series_from_snapshots
 
 BOUNDS = Rect(0.0, 0.0, 600.0, 900.0)
 
@@ -229,6 +229,19 @@ def test_transit_requires_dataset_coverage():
         run_transit(field, ds, None, MotionTruth(5.0, 0.0), TransitConfig(300, 1))
 
 
+def test_series_rejects_kstar_or_cuts_off_its_layout():
+    field = _flat_field()
+    ds = _static_fleet([(100.0, 100.0), (500.0, 800.0)], 5)
+    series = run_transit(field, ds, None, MotionTruth(2.0, 0.0), TransitConfig(5, 1))
+    layout = series.layout
+    assert series.kstar.dtype == np.float64 and series.kstar.shape == layout.t.shape == (12,)
+    with pytest.raises(ValueError, match="parallel"):
+        MeasurementSeries(layout, series.kstar[:-1], series.truth)
+    short = replace(layout, duration_s=4)  # 5 instants, 7 cuts
+    with pytest.raises(ValueError, match="cut once per instant"):
+        MeasurementSeries(short, series.kstar, series.truth)
+
+
 def test_transit_empty_instant_gives_empty_snapshot():
     field = _flat_field()
     ds = _fleet([("v0", t, 300.0, 450.0) for t in (0, 2)], 2)  # nothing at t=1
@@ -426,7 +439,7 @@ def test_validity_matches_per_sensor_reference(seed, n_snaps):
         kstar = rng.choice([0.09, 0.5, 1.2], ids.size)
         sensors = np.column_stack([rng.choice(xs, ids.size), rng.choice(ys, ids.size), kstar])
         snaps.append(SensorSnapshot(t=t, sensors=sensors, vehicle_ids=[f"v{i}" for i in ids]))
-    series = MeasurementSeries(tuple(snaps), MotionTruth(1.0, 0.0), 1)
+    series = series_from_snapshots(snaps, MotionTruth(1.0, 0.0))
     for m in (0, 3, 10, 20):
         assert is_valid_event(series, BOUNDS, m) == _is_valid_event_reference(series, BOUNDS, m)
 
@@ -501,7 +514,6 @@ def test_layout_memo_matches_per_instant_reference(calls):
             for m in (0, 2, 10):
                 expected = _is_valid_event_reference(want, BOUNDS, m)
                 assert is_valid_event(got, BOUNDS, m) == expected
-                assert is_valid_event(replace(got, layout=None), BOUNDS, m) == expected
 
 
 def test_layout_kept_per_duration_period_and_mask_object():
@@ -561,7 +573,7 @@ _OFF_TABLE = [0.1234565, 1e-7, -0.0, 1.2, float("nan"), float("inf"), -3.5]
     ids=["off-table", "empty-instants", "all-empty", "no-snapshots"],
 )
 def test_export_hand_built_matches_per_snapshot_reference(tmp_path, snapshots):
-    series = MeasurementSeries(snapshots, MotionTruth(2.5, 45.0), 1)
+    series = series_from_snapshots(snapshots, MotionTruth(2.5, 45.0))
     cfg = TransitConfig(len(snapshots) or 1, 1, seed=3)
     export_series(series, cfg, tmp_path / "got.csv")
     export_series_per_snapshot(series, cfg, tmp_path / "want.csv")
