@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
+import os
 import platform
+import resource
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -105,6 +109,13 @@ def _write_manifest(args, out: Path, inputs: dict, seeds: dict) -> None:
     (out / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _timed(seconds: dict, key: str, fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    seconds[key] = round(time.perf_counter() - t0, 4)
+    return out
+
+
 def _check_inputs(paths: dict) -> None:
     missing = [f"{name}: {p}" for name, p in paths.items() if not Path(p).is_file()]
     if missing:
@@ -149,7 +160,7 @@ def cmd_genfield(args) -> int:
     return 0
 
 
-def _load_scenario(cfg: dict):
+def _load_scenario(cfg: dict, setup_s: dict):
     bounds = _get(cfg, "bounds", _bounds)
     paths = {"trajectories": cfg.get("trajectories", "")}
     if not paths["trajectories"]:
@@ -157,8 +168,8 @@ def _load_scenario(cfg: dict):
     if "mask" in cfg:
         paths["mask"] = cfg["mask"]
     _check_inputs(paths)
-    ds = load_trajectories(paths["trajectories"], bounds)
-    mask = load_shadow_mask(cfg["mask"]) if "mask" in cfg else None
+    ds = _timed(setup_s, "trajectories", load_trajectories, paths["trajectories"], bounds)
+    mask = _timed(setup_s, "mask", load_shadow_mask, cfg["mask"]) if "mask" in cfg else None
     return bounds, ds, mask, paths
 
 
@@ -183,7 +194,8 @@ def cmd_campaign(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     cfg = parse_config(args.config)
-    bounds, ds, mask, input_paths = _load_scenario(cfg)
+    timings = {"setup_s": {}}
+    bounds, ds, mask, input_paths = _load_scenario(cfg, timings["setup_s"])
     base_seed = args.seed if args.seed is not None else _get(cfg, "base_seed", int, 0)
     field_seed = _get(cfg, "field_seed", int, base_seed + 1)
     duration = _get(cfg, "duration_s", int, 300)
@@ -202,8 +214,10 @@ def cmd_campaign(args) -> int:
         duration_s=duration,
         k_neighbors=_get(cfg, "k_neighbors", int, 3),
     )
-    campaign = replace(campaign, field=_build_field(cfg, bounds, duration, field_seed))
-    result = run_campaign(campaign, jobs=args.jobs)
+    field = _timed(timings["setup_s"], "field", _build_field, cfg, bounds, duration, field_seed)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    result = _timed(timings, "campaign_s", run_campaign, replace(campaign, field=field), args.jobs)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if all(
         not np.isfinite(row[3]) for cell in result.cells.values() for row in cell.scatter
     ):
@@ -215,8 +229,16 @@ def cmd_campaign(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_results_csv(result, out / "results.csv")
     write_scatter_csvs(result, out)
-    # per pr, summed over simulations: stage seconds and the search counters
-    timings = {f"{pr:g}": tel for pr, tel in result.telemetry.items()}
+    # ru_maxrss is in kB; the children's spans every child ever reaped, so only a pool run owns it
+    timings.update(
+        worker_cpu_s=round(sum(after[:2]) - sum(before[:2]), 4),  # user + system
+        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        worker_peak_rss_mb=after.ru_maxrss / 1024 if args.jobs > 1 else None,
+        nproc=os.cpu_count(),
+        numba=importlib.util.find_spec("numba") is not None,
+        # per pr, summed over simulations: stage seconds and the search counters
+        telemetry={f"{pr:g}": tel for pr, tel in result.telemetry.items()},
+    )
     (out / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
     _write_manifest(args, out, input_paths, {"base": base_seed, "field": field_seed})
     print(f"wrote {out / 'results.csv'} ({len(result.cells)} cells, "
@@ -235,7 +257,7 @@ def cmd_export_series(args) -> int:
     n_series = _get(cfg, "n_series", int, 1)
     if n_series < 1:
         raise ConfigError("n_series must be >= 1")
-    bounds, ds, mask, input_paths = _load_scenario(cfg)
+    bounds, ds, mask, input_paths = _load_scenario(cfg, {})
     # a fleet or mask that cannot serve the transit fails before the costly field build
     ds.check_duration(tcfg.duration_s)
     if mask is not None:
@@ -259,11 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="exit codes: 0 ok, 1 validation error, 2 I/O error, 3 insufficient data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("genfield", cmd_genfield),
-        ("campaign", cmd_campaign),
-        ("export", cmd_export_series),
-    ):
+    commands = {"genfield": cmd_genfield, "campaign": cmd_campaign, "export": cmd_export_series}
+    for name, fn in commands.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="key = value config file")
         p.add_argument("--out", required=True, help="output directory")

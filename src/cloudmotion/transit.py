@@ -66,6 +66,8 @@ class TransitConfig:
             raise ValueError("duration and sampling period must be positive")
         if self.duration_s % self.sampling_period_s != 0:
             raise ValueError("duration_s must be divisible by sampling_period_s")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def sample_times(self) -> range:

@@ -156,15 +156,30 @@ def test_campaign_rerun_byte_identical(tmp_path, fleet_csv):
 
 def test_campaign_writes_timings(tmp_path, fleet_csv):
     text = CAMPAIGN_CFG.format(traj=fleet_csv).replace("pr_list = 1.0", "pr_list = 0.5,1.0")
-    out = tmp_path / "out"
-    assert main(["campaign", "--config", str(_write_config(tmp_path, text)), "--out", str(out)]) == 0
-    timings = json.loads((out / "timings.json").read_text())
-    assert list(timings) == ["0.5", "1"]
+    lit = ShadowMask(mask=np.zeros((30, 30), dtype=bool), origin=(0.0, 0.0), pixel_size_m=10.0)
+    write_shadow_mask(lit, tmp_path / "lit.pgm")
     levels = ("rejected_pooled", "rejected_block", "rejected_partial", "full_sads")
-    for pr, tel in timings.items():
-        assert {"transit_s", "validity_s", "gridding_s", "search_s"} <= tel.keys()
-        assert all(tel[k] >= 0 for k in tel), (pr, tel)
-        assert sum(tel[k] for k in levels) == tel["candidates"] > 0, (pr, tel)
+    for jobs, extra, setup in ((1, "", ["trajectories", "field"]),
+                               (2, f"mask = {tmp_path / 'lit.pgm'}\n", ["trajectories", "mask", "field"])):
+        cfg = _write_config(tmp_path, text + extra)
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["campaign", "--config", str(cfg), "--out", str(out), "--jobs", str(jobs)]) == 0
+        timings = json.loads((out / "timings.json").read_text())
+        assert list(timings["telemetry"]) == ["0.5", "1"]
+        for pr, tel in timings["telemetry"].items():
+            assert {"transit_s", "validity_s", "gridding_s", "search_s"} <= tel.keys()
+            assert all(tel[k] >= 0 for k in tel), (pr, tel)
+            assert sum(tel[k] for k in levels) == tel["candidates"] > 0, (pr, tel)
+        assert list(timings["setup_s"]) == setup
+        numbers = [*timings["setup_s"].values(), timings["campaign_s"], timings["peak_rss_mb"]]
+        assert all(type(v) in (int, float) and np.isfinite(v) and v >= 0 for v in numbers), timings
+        assert timings["nproc"] >= 1 and isinstance(timings["numba"], bool)
+        if jobs == 1:  # no workers: the children's peak would be some earlier child's
+            assert timings["worker_cpu_s"] == 0 and timings["worker_peak_rss_mb"] is None
+        else:
+            assert timings["worker_cpu_s"] > 0, timings
+            assert isinstance(timings["worker_peak_rss_mb"], float), timings
+            assert timings["worker_peak_rss_mb"] > 0, timings
 
 
 def test_campaign_missing_inputs_exit_2(tmp_path, capsys):
@@ -326,6 +341,24 @@ def test_export_bad_scenario_exit_1_before_field(tmp_path, fleet_csv, capsys, mo
     out = tmp_path / "o"
     assert main(["export", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_export_negative_seed_exit_1_before_field(tmp_path, fleet_csv, capsys, monkeypatch, where):
+    def no_field(*args, **kwargs):
+        raise AssertionError("the field was built before the seed was checked")
+
+    monkeypatch.setattr(cli, "make_clearsky_field", no_field)
+    text = EXPORT_CFG.format(traj=fleet_csv, extra="")
+    flag = []
+    if where == "config":
+        text = text.replace("seed = 3", "seed = -1")
+    else:
+        flag = ["--seed", "-1"]
+    out = tmp_path / "o"
+    assert main(["export", "--config", str(_write_config(tmp_path, text)), "--out", str(out), *flag]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
     assert not out.exists()
 
 

@@ -327,6 +327,8 @@ def test_config_validation():
         TransitConfig(duration_s=301, sampling_period_s=2)
     with pytest.raises(ValueError):
         TransitConfig(duration_s=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TransitConfig(seed=-1)
 
 
 # ------------------------------------------------------------ validity
