@@ -35,7 +35,7 @@ from .fractal_field import (
     required_field_side,
 )
 from .geometry import Rect
-from .gridding import GridSnapshot, GridSpec, grid_series, idw_interpolate
+from .gridding import GridSeries, GridSnapshot, GridSpec, grid_series, idw_interpolate
 from .transit import (
     MeasurementSeries,
     MotionTruth,
@@ -51,6 +51,7 @@ __all__ = [
     "ClearSkyField",
     "CmaeSurface",
     "CmvEstimate",
+    "GridSeries",
     "GridSnapshot",
     "GridSpec",
     "MeasurementSeries",

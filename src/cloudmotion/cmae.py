@@ -6,7 +6,8 @@ accumulated over the whole observation window.  The three displacements
 with the lowest cumulative error, inverse-error weighted, give a sub-cell
 velocity and direction estimate.  accumulate_cmae computes the whole error
 surface; search_cmv reaches the same estimate while most candidates get
-only cheap lower bounds.
+only cheap lower bounds.  Both read a gridding.GridSeries, whose block is
+cast to float32 once per search.
 
 search_cmv is exact successive elimination over a three-level pyramid
 of lower bounds, each tighter and dearer than the last: the pooled bound
@@ -25,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gridding import GridSnapshot
+from .gridding import GridSeries
 
 V_CAP_MPS = 40.0
 MIN_OVERLAP_FRACTION = 0.1
@@ -111,33 +112,28 @@ def _overlap_slices(nx: int, ny: int, dx: int, dy: int) -> tuple:
     return (slice(ay0, ay1), slice(ax0, ax1)), (slice(ay0 + dy, ay1 + dy), slice(ax0 + dx, ax1 + dx))
 
 
-def _search_space(grids, timestep_s, dmin, v_cap) -> tuple:
+def _search_space(series: GridSeries, timestep_s, dmin, v_cap) -> tuple:
     """(a_stack, b_stack, candidates, overlap cells per candidate).
 
     The stacks are float32 (pairs, ny, nx) arrays of every (t, t +
-    timestep_s) pair.  Pairs touching an invalid snapshot are skipped for
-    all displacements, keeping the candidate CMAEs comparable.
+    timestep_s) pair, from one float32 copy of the series' block: two views
+    of it when every pair is valid.  Pairs touching an invalid snapshot are
+    skipped for all displacements, keeping the candidate CMAEs comparable.
     """
-    if len(grids) < 2:
-        raise InsufficientPairsError("need at least two snapshots")
-    spacing = grids[1].t - grids[0].t
-    if spacing <= 0 or timestep_s % spacing != 0:
-        raise ValueError(f"timestep {timestep_s} is not a multiple of the spacing {spacing}")
+    spacing = series.instants.step
+    if timestep_s <= 0 or timestep_s % spacing != 0:
+        raise ValueError(f"timestep {timestep_s} is not a positive multiple of {spacing}")
     step = timestep_s // spacing
-    if step < 1 or step >= len(grids):
-        raise InsufficientPairsError(f"no pairs {timestep_s} s apart in {len(grids)} snapshots")
+    pairs = np.flatnonzero(series.valid[:-step] & series.valid[step:])
+    if pairs.size == 0:
+        raise InsufficientPairsError(f"no valid pair {timestep_s} s apart in {len(series)} grids")
 
-    pair_idx = [
-        i for i in range(len(grids) - step) if grids[i].valid and grids[i + step].valid
-    ]
-    if not pair_idx:
-        raise InsufficientPairsError("every candidate pair touches an invalid snapshot")
-
-    ny, nx = grids[pair_idx[0]].values.shape
-    # cast while stacking: no float64 copy of the stacks
-    a_stack = np.stack([grids[i].values for i in pair_idx], dtype=np.float32)
-    b_stack = np.stack([grids[i + step].values for i in pair_idx], dtype=np.float32)
-
+    block = series.values.astype(np.float32)
+    if pairs.size == len(series) - step:
+        a_stack, b_stack = block[:-step], block[step:]
+    else:
+        a_stack, b_stack = block[pairs], block[pairs + step]
+    _, ny, nx = block.shape
     cands = displacement_candidates(nx, ny, dmin, timestep_s, v_cap)
     if cands.shape[0] == 0:
         raise InsufficientPairsError("no admissible displacement on this grid")
@@ -161,7 +157,7 @@ def _sad_sums(a_stack: np.ndarray, b_stack: np.ndarray, cands: np.ndarray) -> np
 
 
 def accumulate_cmae(
-    grids: list,
+    series: GridSeries,
     timestep_s: int,
     dmin: float,
     v_cap: float = V_CAP_MPS,
@@ -171,7 +167,7 @@ def accumulate_cmae(
     This is the exhaustive search: every admissible displacement gets its
     CMAE.  search_cmv gives the same estimate while skipping most of them.
     """
-    a_stack, b_stack, cands, n_cells = _search_space(grids, timestep_s, dmin, v_cap)
+    a_stack, b_stack, cands, n_cells = _search_space(series, timestep_s, dmin, v_cap)
     cmae = _sad_sums(a_stack, b_stack, cands) / n_cells
     return CmaeSurface(displacements=cands, cmae=cmae, pair_count=a_stack.shape[0])
 
@@ -272,7 +268,7 @@ def _partial_rejects(a_stack, b_stack, dx, dy, terms, limit_sum, counts) -> bool
 
 
 def search_cmv(
-    grids: list,
+    series: GridSeries,
     timestep_s: int,
     dmin: float,
     v_cap: float = V_CAP_MPS,
@@ -282,11 +278,12 @@ def search_cmv(
 
     Every candidate gets the pooled bound of _pooled_bounds in one pass.
     Candidates are taken in increasing order of it, and the search stops
-    once it is above the third-best exact CMAE.  With more than one chunk
-    of _CHUNK_PAIRS pairs, a candidate below that limit must then pass two
-    more tests, the second tighter and dearer than the first: the block
-    bound, the sum of its per-chunk _block_terms, and partial distortion,
-    which swaps those terms for exact chunk SADs one chunk at a time.  A
+    once it is above the third-best exact CMAE.  A candidate below that
+    limit must then pass two more tests, the second tighter and dearer than
+    the first: the block bound, the sum of its per-chunk _block_terms, and
+    partial distortion, which swaps those terms for exact chunk SADs one
+    chunk at a time (with one chunk of _CHUNK_PAIRS pairs, the block bound
+    repeats the pooled one and partial distortion sums nothing).  A
     candidate that passes both gets its exact CMAE from the same kernel
     accumulate_cmae uses.  Every candidate that could enter the top three,
     ties included, is therefore evaluated, and n_candidates still counts
@@ -297,11 +294,10 @@ def search_cmv(
     rejected at each level, chunks summed by partial distortion and full
     exact SADs (the keys of _STATS_KEYS).
     """
-    a_stack, b_stack, cands, n_cells = _search_space(grids, timestep_s, dmin, v_cap)
+    a_stack, b_stack, cands, n_cells = _search_space(series, timestep_s, dmin, v_cap)
     _, ny, nx = a_stack.shape
     a_chunks, b_chunks = _chunk_sums(a_stack), _chunk_sums(b_stack)
     bound = _pooled_bounds(a_chunks.sum(axis=0), b_chunks.sum(axis=0), cands, n_cells)
-    multi_chunk = a_chunks.shape[0] > 1
     blocks = None  # built when the first candidate reaches the block test
     counts = {**dict.fromkeys(_STATS_KEYS, 0), "candidates": cands.shape[0]}
 
@@ -314,17 +310,16 @@ def search_cmv(
             if bound[i] > limit:
                 counts["rejected_pooled"] = cands.shape[0] - rank  # this one and every later one
                 break
-            if multi_chunk:
-                if blocks is None:
-                    blocks = _block_sums(a_chunks), _block_sums(b_chunks)
-                counts["bounds_block"] += 1
-                terms = _block_terms(*blocks, ny, nx, dx, dy)
-                if terms.sum() / n > limit:
-                    counts["rejected_block"] += 1
-                    continue
-                if _partial_rejects(a_stack, b_stack, dx, dy, terms, limit * n, counts):
-                    counts["rejected_partial"] += 1
-                    continue
+            if blocks is None:
+                blocks = _block_sums(a_chunks), _block_sums(b_chunks)
+            counts["bounds_block"] += 1
+            terms = _block_terms(*blocks, ny, nx, dx, dy)
+            if terms.sum() / n > limit:
+                counts["rejected_block"] += 1
+                continue
+            if _partial_rejects(a_stack, b_stack, dx, dy, terms, limit * n, counts):
+                counts["rejected_partial"] += 1
+                continue
         counts["full_sads"] += 1
         value = float(_sad_sums(a_stack, b_stack, cands[i : i + 1])[0] / n)
         evaluated.append(i)

@@ -75,6 +75,26 @@ class GridSnapshot:
     valid: bool
 
 
+@dataclass(frozen=True, eq=False)
+class GridSeries:
+    """The grids of every sampling instant of a series, as one block.
+
+    values[i] is the (ny, nx) grid at instants[i]; the rows of invalid
+    instants hold NaN.  len(), integer indexing and iteration give
+    GridSnapshot views of the block.
+    """
+
+    instants: range
+    values: np.ndarray  # (T, ny, nx) float64
+    valid: np.ndarray  # (T,) bool
+
+    def __len__(self) -> int:
+        return len(self.instants)
+
+    def __getitem__(self, i: int) -> GridSnapshot:
+        return GridSnapshot(t=self.instants[i], values=self.values[i], valid=bool(self.valid[i]))
+
+
 def idw_interpolate(snapshot: SensorSnapshot, spec: GridSpec, k_neighbors: int = 3) -> GridSnapshot:
     """Interpolate one snapshot onto the grid.
 
@@ -120,13 +140,13 @@ def idw_interpolate(snapshot: SensorSnapshot, spec: GridSpec, k_neighbors: int =
     return GridSnapshot(t=snapshot.t, values=values.reshape(ny, nx), valid=True)
 
 
-def grid_series(series: MeasurementSeries, spec: GridSpec, k_neighbors: int = 3) -> list:
-    """One GridSnapshot per sampling instant, invalid ones kept in place.
+def grid_series(series: MeasurementSeries, spec: GridSpec, k_neighbors: int = 3) -> GridSeries:
+    """The grids of every sampling instant, invalid ones kept in place as NaN.
 
     An instant's sensors are the rows between two of the layout's cuts.  Bit
     for bit what idw_interpolate gives per snapshot, but each tile of the
     lattice only weighs the sensors that can be among its points' k nearest
-    (see the module docstring).  The grids are views of one block.
+    (see the module docstring).
     """
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
@@ -145,18 +165,15 @@ def grid_series(series: MeasurementSeries, spec: GridSpec, k_neighbors: int = 3)
 
     layout, z = series.layout, series.kstar
     x, y, cuts = layout.x, layout.y, layout.cuts
-    block = np.empty((len(cuts) - 1, ny, nx))
-    grids = []
-    for values, t, a, b in zip(block, layout.instants, cuts, cuts[1:]):
-        valid = b - a >= k_neighbors
-        if valid:
-            tiled = _tiled_idw(x[a:b], y[a:b], z[a:b], tiles, k_neighbors)
-            tiled = tiled.reshape(_TILE, _TILE, nty, ntx).transpose(2, 0, 3, 1)
-            values[...] = tiled.reshape(nty * _TILE, ntx * _TILE)[:ny, :nx]
-        else:
-            values.fill(np.nan)
-        grids.append(GridSnapshot(t=t, values=values, valid=valid))
-    return grids
+    valid = np.diff(cuts) >= k_neighbors
+    block = np.empty((len(valid), ny, nx))
+    block[~valid] = np.nan
+    for i in np.flatnonzero(valid):
+        a, b = cuts[i], cuts[i + 1]
+        tiled = _tiled_idw(x[a:b], y[a:b], z[a:b], tiles, k_neighbors)
+        tiled = tiled.reshape(_TILE, _TILE, nty, ntx).transpose(2, 0, 3, 1)
+        block[i] = tiled.reshape(nty * _TILE, ntx * _TILE)[:ny, :nx]
+    return GridSeries(layout.instants, block, valid)
 
 
 def _tiled_idw(x: np.ndarray, y: np.ndarray, z: np.ndarray, tiles: tuple, k: int) -> np.ndarray:

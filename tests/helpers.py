@@ -7,7 +7,7 @@ import numpy as np
 
 from cloudmotion.fleet import SamplingLayout, SensorSnapshot
 from cloudmotion.fractal_field import _LEVEL_KSTAR, ClearSkyField
-from cloudmotion.gridding import GridSnapshot
+from cloudmotion.gridding import GridSeries
 from cloudmotion.rasters import read_pgm, sidecar_path, write_pgm
 from cloudmotion.transit import FieldSizingError, MeasurementSeries, default_field_anchor
 
@@ -104,20 +104,28 @@ def write_shadow_mask(mask, pgm_path):
     )
 
 
-def translation_grids(seed, ny, nx, dx, dy, n_snaps, spacing_s=10, low=0.09, high=1.2):
-    """Grid snapshots that translate by exactly (dx, dy) cells per spacing.
+def grid_block(values, valid=None, spacing_s=10):
+    """A GridSeries of hand-made (ny, nx) grids at t = 0, spacing_s, 2 spacing_s, ...
 
-    Snapshot k is a window into one random base array, with the window
-    origin moving by (-dx, -dy) per step so the pattern seen through the
-    window moves by (+dx, +dy): G_{k+1}(cell) == G_k(cell - (dx, dy)).
+    valid defaults to every grid; the rows of invalid grids become NaN, as
+    grid_series writes them.
+    """
+    values = np.array(values, dtype=np.float64)
+    valid = np.ones(len(values), bool) if valid is None else np.array(valid, dtype=bool)
+    values[~valid] = np.nan
+    return GridSeries(range(0, len(values) * spacing_s, spacing_s), values, valid)
+
+
+def translation_grids(seed, ny, nx, dx, dy, n_snaps, spacing_s=10, low=0.09, high=1.2):
+    """A grid series that translates by exactly (dx, dy) cells per spacing.
+
+    Grid k is a window into one random base array, with the window origin
+    moving by (-dx, -dy) per step so the pattern seen through the window
+    moves by (+dx, +dy): G_{k+1}(cell) == G_k(cell - (dx, dy)).
     """
     rng = np.random.default_rng(seed)
     pad_x, pad_y = n_snaps * abs(dx) + 1, n_snaps * abs(dy) + 1
     base = rng.uniform(low, high, (ny + 2 * pad_y, nx + 2 * pad_x))
-    grids = []
-    for k in range(n_snaps):
-        oy = pad_y - k * dy
-        ox = pad_x - k * dx
-        window = base[oy : oy + ny, ox : ox + nx].copy()
-        grids.append(GridSnapshot(t=k * spacing_s, values=window, valid=True))
-    return grids
+    windows = [base[pad_y - k * dy : pad_y - k * dy + ny, pad_x - k * dx : pad_x - k * dx + nx]
+               for k in range(n_snaps)]
+    return grid_block(windows, spacing_s=spacing_s)

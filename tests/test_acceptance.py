@@ -30,10 +30,10 @@ from cloudmotion.fractal_field import (
     required_field_side,
 )
 from cloudmotion.geometry import Rect
-from cloudmotion.gridding import GridSnapshot, GridSpec, idw_interpolate
+from cloudmotion.gridding import GridSpec, idw_interpolate
 from cloudmotion.synth import random_walk_fleet, write_trajectories_csv
 from cloudmotion.transit import TransitConfig, draw_truth, is_valid_event, run_transit
-from helpers import translation_grids
+from helpers import grid_block, translation_grids
 
 BOUNDS = Rect(0.0, 0.0, 600.0, 900.0)
 DMIN = 10.0
@@ -213,8 +213,8 @@ def test_criterion_6_estimator_invariants():
     exact = grid.values[3, 2] == 0.42
 
     # CMAE ranking invariance under affine value scaling
-    grids = [GridSnapshot(10 * i, rng.uniform(0.09, 1.2, (15, 15)), True) for i in range(4)]
-    scaled = [GridSnapshot(g.t, 3.7 * g.values + 0.25, True) for g in grids]
+    grids = grid_block([rng.uniform(0.09, 1.2, (15, 15)) for _ in range(4)])
+    scaled = grid_block(3.7 * grids.values + 0.25)
     s1 = accumulate_cmae(grids, 10, 10.0, v_cap=10.0)
     s2 = accumulate_cmae(scaled, 10, 10.0, v_cap=10.0)
     affine = np.allclose(s2.cmae, 3.7 * s1.cmae, rtol=1e-4) and np.array_equal(
@@ -226,10 +226,10 @@ def test_criterion_6_estimator_invariants():
     fwd, mir = [], []
     for k in range(4):
         w = base[20 - 2 * k : 40 - 2 * k, 20 - 3 * k : 40 - 3 * k]
-        fwd.append(GridSnapshot(10 * k, w.copy(), True))
-        mir.append(GridSnapshot(10 * k, w[:, ::-1].copy(), True))
-    e = estimate_cmv(accumulate_cmae(fwd, 10, 10.0), 10, 10.0)
-    em = estimate_cmv(accumulate_cmae(mir, 10, 10.0), 10, 10.0)
+        fwd.append(w)
+        mir.append(w[:, ::-1])
+    e = estimate_cmv(accumulate_cmae(grid_block(fwd), 10, 10.0), 10, 10.0)
+    em = estimate_cmv(accumulate_cmae(grid_block(mir), 10, 10.0), 10, 10.0)
     ve = e.speed * math.sin(math.radians(e.direction_deg))
     vem = em.speed * math.sin(math.radians(em.direction_deg))
     vn = e.speed * math.cos(math.radians(e.direction_deg))

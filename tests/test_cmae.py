@@ -16,7 +16,7 @@ from cloudmotion.cmae import (
     search_cmv,
 )
 from cloudmotion.gridding import GridSnapshot
-from helpers import translation_grids
+from helpers import grid_block, translation_grids
 
 
 def _grid(values, t=0, valid=True):
@@ -140,17 +140,11 @@ def test_accumulate_single_pair_matches_mae():
 
 
 def test_accumulate_duplicated_pair_doubles_cmae():
-    g0, g1 = translation_grids(seed=6, ny=15, nx=15, dx=1, dy=1, n_snaps=2, spacing_s=10)
-    once = accumulate_cmae([g0, g1], 10, 10.0, v_cap=15.0)
+    pair = translation_grids(seed=6, ny=15, nx=15, dx=1, dy=1, n_snaps=2, spacing_s=10)
+    once = accumulate_cmae(pair, 10, 10.0, v_cap=15.0)
     # an invalid separator makes the same pair appear exactly twice
-    sep = GridSnapshot(t=20, values=np.full_like(g0.values, np.nan), valid=False)
-    rep = [
-        g0,
-        g1,
-        sep,
-        GridSnapshot(30, g0.values, True),
-        GridSnapshot(40, g1.values, True),
-    ]
+    g0, g1 = pair.values
+    rep = grid_block([g0, g1, g0, g0, g1], valid=[True, True, False, True, True])
     twice = accumulate_cmae(rep, 10, 10.0, v_cap=15.0)
     assert once.pair_count == 1 and twice.pair_count == 2
     assert np.allclose(twice.cmae, 2.0 * once.cmae, rtol=1e-9, atol=1e-12)
@@ -159,7 +153,7 @@ def test_accumulate_duplicated_pair_doubles_cmae():
 
 def test_accumulate_skips_invalid_pairs_uniformly():
     grids = translation_grids(seed=7, ny=12, nx=12, dx=0, dy=1, n_snaps=4, spacing_s=10)
-    grids[2] = GridSnapshot(t=grids[2].t, values=grids[2].values, valid=False)
+    grids = grid_block(grids.values, valid=[True, True, False, True])
     surface = accumulate_cmae(grids, 10, 10.0, v_cap=15.0)
     assert surface.pair_count == 1  # only (0, 1); (1,2) and (2,3) touch the invalid one
 
@@ -174,11 +168,11 @@ def test_accumulate_translation_argmin_at_truth():
 
 
 def test_accumulate_requires_usable_pairs():
-    g = _grid(np.zeros((5, 5)))
-    bad = [_grid(np.zeros((5, 5)), t=0, valid=False), _grid(np.zeros((5, 5)), t=10, valid=False)]
+    one = grid_block(np.zeros((1, 5, 5)))
+    bad = grid_block(np.zeros((2, 5, 5)), valid=[False, False])
     for search in (accumulate_cmae, search_cmv):
         with pytest.raises(InsufficientPairsError):
-            search([g], 10, 10.0)
+            search(one, 10, 10.0)
         with pytest.raises(InsufficientPairsError):
             search(bad, 10, 10.0)
 
@@ -186,8 +180,9 @@ def test_accumulate_requires_usable_pairs():
 def test_accumulate_timestep_must_match_spacing():
     grids = translation_grids(seed=8, ny=10, nx=10, dx=1, dy=0, n_snaps=3, spacing_s=10)
     for search in (accumulate_cmae, search_cmv):
-        with pytest.raises(ValueError):
-            search(grids, 15, 10.0)
+        for timestep in (15, 0, -10):
+            with pytest.raises(ValueError):
+                search(grids, timestep, 10.0)
 
 
 # ------------------------------------------------------------ pruned search
@@ -210,8 +205,8 @@ def _random_grids(seed, ny, nx, n_snaps, levels, invalid=()):
         values = rng.uniform(0.09, 1.2, (ny, nx))
         if levels:
             values = np.round(values * levels) / levels
-        grids.append(GridSnapshot(t=10 * k, values=values, valid=k not in invalid))
-    return grids
+        grids.append(values)
+    return grid_block(grids, valid=[k not in invalid for k in range(n_snaps)])
 
 
 def _assert_pruned_matches_or_both_raise(grids, v_cap):
@@ -271,11 +266,10 @@ def _drifting_grids(seed, ny, nx, n_snaps, blur, sigma, v1, v2, switch):
         base = np.apply_along_axis(np.convolve, axis, base, kernel, mode="same")
     grids, oy, ox = [], pad, pad
     for k in range(n_snaps):
-        values = base[oy : oy + ny, ox : ox + nx] + rng.normal(0.0, sigma, (ny, nx))
-        grids.append(GridSnapshot(t=10 * k, values=values, valid=True))
+        grids.append(base[oy : oy + ny, ox : ox + nx] + rng.normal(0.0, sigma, (ny, nx)))
         dx, dy = v1 if k < switch else v2
         oy, ox = oy - dy, ox - dx
-    return grids
+    return grid_block(grids)
 
 
 _velocity = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
@@ -448,7 +442,7 @@ def test_pruned_search_values_exact_on_wide_range(monkeypatch, seed):
     # distortion whose value came from its chunked sums would differ from
     # accumulate_cmae's in the last bits
     rng = np.random.default_rng(seed)
-    grids = [_grid(10 ** rng.uniform(-6, 6, (10, 12)), t=10 * k) for k in range(30)]
+    grids = grid_block([10 ** rng.uniform(-6, 6, (10, 12)) for _ in range(30)])
     surface = accumulate_cmae(grids, 10, 10.0, v_cap=40.0)
     exact = {(int(dx), int(dy)): v for (dx, dy), v in zip(surface.displacements, surface.cmae)}
     partial = []
@@ -484,7 +478,7 @@ def _smooth_translation_grids(n_snaps, side, x0, dx=3, dy=-2):
     smooth = np.apply_along_axis(np.convolve, 0, noise, kernel, mode="valid")
     smooth = np.apply_along_axis(np.convolve, 1, smooth, kernel, mode="valid")
     windows = [smooth[20 - k * dy : 50 - k * dy, x0 - k * dx : x0 + 30 - k * dx] for k in range(n_snaps)]
-    return [GridSnapshot(t=10 * k, values=w.copy(), valid=True) for k, w in enumerate(windows)]
+    return grid_block(windows)
 
 
 def _counted_search(monkeypatch, grids, stats=None):
@@ -557,8 +551,8 @@ def test_search_stats(monkeypatch, n_snaps):
     rejected = [stats[k] for k in ("rejected_pooled", "rejected_block", "rejected_partial")]
     assert sum(rejected) + full == est.n_candidates
     assert stats["rejected_partial"] <= stats["bounds_block"] - stats["rejected_block"]
-    if n_snaps == 5:  # one chunk: the pooled level alone
-        assert stats["bounds_block"] == stats["partial_chunks"] == 0
+    if n_snaps == 5:  # one chunk: partial distortion has nothing to sum
+        assert stats["partial_chunks"] == 0
     # a second search into the same dict adds its counters to the first's
     once = dict(stats)
     search_cmv(grids, 10, 5.0, v_cap=20.0, stats=stats)
@@ -567,38 +561,69 @@ def test_search_stats(monkeypatch, n_snaps):
 
 def test_pruned_search_constant_grids_all_tie():
     # the same constant everywhere: every candidate has CMAE 0
-    same = [_grid(np.full((9, 11), 0.7), t=10 * k) for k in range(4)]
+    same = grid_block(np.full((4, 9, 11), 0.7))
     est = _assert_pruned_matches_exhaustive(same, 10, 10.0, 30.0)
     assert est.top3 == ((0, 0, 0.0),)
     # a constant per snapshot: every candidate has the same nonzero CMAE up to rounding
-    stepped = [_grid(np.full((9, 11), 0.1 + 0.2 * k), t=10 * k) for k in range(4)]
+    stepped = grid_block([np.full((9, 11), 0.1 + 0.2 * k) for k in range(4)])
     est = _assert_pruned_matches_exhaustive(stepped, 10, 10.0, 30.0)
     assert len(est.top3) == 3
 
 
 def test_pruned_search_skips_invalid_snapshots():
     grids = translation_grids(seed=19, ny=16, nx=18, dx=-1, dy=2, n_snaps=7, spacing_s=10)
-    for k in (1, 4):
-        grids[k] = GridSnapshot(t=grids[k].t, values=np.full_like(grids[k].values, np.nan), valid=False)
+    grids = grid_block(grids.values, valid=[k not in (1, 4) for k in range(7)])
     est = _assert_pruned_matches_exhaustive(grids, 10, 10.0, 40.0)
     assert est.top3[0][:2] == (-1, 2)
     # two spacings apart, only the pairs (0, 2) and (3, 5) avoid k = 1 and k = 4
     rng = np.random.default_rng(20)
-    noisy = [GridSnapshot(g.t, g.values + rng.normal(0, 0.05, g.values.shape), g.valid)
-             for g in grids]
+    noisy = grid_block([g.values + rng.normal(0, 0.05, g.values.shape) for g in grids],
+                       valid=grids.valid)
     _assert_pruned_matches_exhaustive(noisy, 20, 10.0, 40.0)
+
+
+@pytest.mark.parametrize("invalid", [0, 3, 6])
+def test_invalid_snapshot_first_middle_or_last(invalid):
+    # the valid pairs are gathered from the block around the invalid grid
+    grids = translation_grids(seed=24, ny=14, nx=15, dx=1, dy=-1, n_snaps=7, spacing_s=10)
+    rng = np.random.default_rng(25)
+    noisy = grid_block(grids.values + rng.normal(0, 0.05, grids.values.shape),
+                       valid=[k != invalid for k in range(7)])
+    surface = accumulate_cmae(noisy, 10, 10.0, v_cap=40.0)
+    pairs = [(noisy[k], noisy[k + 1]) for k in range(6) if invalid not in (k, k + 1)]
+    assert surface.pair_count == len(pairs) == (5 if invalid in (0, 6) else 4)
+    for (dx, dy), value in zip(surface.displacements, surface.cmae):
+        d = Displacement(int(dx), int(dy))
+        ref = sum(mae_for_displacement(a, b, d) for a, b in pairs)
+        assert value == pytest.approx(ref, rel=1e-5, abs=1e-9)
+    _assert_pruned_matches_exhaustive(noisy, 10, 10.0, 40.0)
+
+
+def test_search_space_views_one_block_when_every_pair_is_valid():
+    grids = translation_grids(seed=26, ny=9, nx=10, dx=1, dy=0, n_snaps=12, spacing_s=10)
+    a_stack, b_stack, _, _ = cmae_mod._search_space(grids, 20, 10.0, 40.0)
+    assert np.shares_memory(a_stack, b_stack) and a_stack.dtype == np.float32
+    assert np.array_equal(a_stack, grids.values[:-2].astype(np.float32))
+    assert np.array_equal(b_stack, grids.values[2:].astype(np.float32))
+    # grid 5 drops the pairs (3, 5) and (5, 7): the rest are gathered
+    gappy = grid_block(grids.values, valid=[k != 5 for k in range(12)])
+    a_stack, b_stack, _, _ = cmae_mod._search_space(gappy, 20, 10.0, 40.0)
+    pairs = [k for k in range(10) if k not in (3, 5)]
+    assert not np.shares_memory(a_stack, b_stack)
+    assert np.array_equal(a_stack, grids.values[pairs].astype(np.float32))
+    assert np.array_equal(b_stack, grids.values[[k + 2 for k in pairs]].astype(np.float32))
 
 
 def test_pruned_search_single_pair():
     rng = np.random.default_rng(21)
-    grids = [_grid(rng.uniform(0.09, 1.2, (13, 17)), t=t) for t in (0, 10)]
+    grids = grid_block([rng.uniform(0.09, 1.2, (13, 17)) for _ in range(2)])
     est = _assert_pruned_matches_exhaustive(grids, 10, 10.0, 40.0)
     assert len(est.top3) == 3
 
 
 def test_pruned_search_fewer_than_three_candidates():
     rng = np.random.default_rng(22)
-    grids = [_grid(rng.uniform(0.09, 1.2, (10, 10)), t=t) for t in (0, 1, 2)]
+    grids = grid_block([rng.uniform(0.09, 1.2, (10, 10)) for _ in range(3)], spacing_s=1)
     # speed cap below one cell per step: (0, 0) is the only candidate
     est = _assert_pruned_matches_exhaustive(grids, 1, 100.0, 40.0)
     assert est.n_candidates == 1
@@ -672,11 +697,8 @@ def test_estimate_empty_surface():
 @settings(max_examples=25, deadline=None)
 def test_affine_scaling_preserves_ranking(a, b, seed):
     rng = np.random.default_rng(seed)
-    grids = [
-        GridSnapshot(t=10 * i, values=rng.uniform(0.09, 1.2, (12, 12)), valid=True)
-        for i in range(4)
-    ]
-    scaled = [GridSnapshot(g.t, a * g.values + b, True) for g in grids]
+    grids = grid_block([rng.uniform(0.09, 1.2, (12, 12)) for _ in range(4)])
+    scaled = grid_block(a * grids.values + b)
     s1 = accumulate_cmae(grids, 10, 10.0, v_cap=8.0)
     s2 = accumulate_cmae(scaled, 10, 10.0, v_cap=8.0)
     assert np.allclose(s2.cmae, a * s1.cmae, rtol=1e-4, atol=1e-7)
@@ -701,10 +723,10 @@ def test_mirror_symmetry_negates_east_component():
     dx, dy = 2, 1
     for k in range(4):
         w = big[pad - k * dy : pad - k * dy + 20, pad - k * dx : pad - k * dx + 20]
-        grids.append(GridSnapshot(10 * k, w.copy(), True))
-        mirrored.append(GridSnapshot(10 * k, w[:, ::-1].copy(), True))
-    s = accumulate_cmae(grids, 10, 10.0, v_cap=40.0)
-    sm = accumulate_cmae(mirrored, 10, 10.0, v_cap=40.0)
+        grids.append(w)
+        mirrored.append(w[:, ::-1])
+    s = accumulate_cmae(grid_block(grids), 10, 10.0, v_cap=40.0)
+    sm = accumulate_cmae(grid_block(mirrored), 10, 10.0, v_cap=40.0)
     e, em = estimate_cmv(s, 10, 10.0), estimate_cmv(sm, 10, 10.0)
     ve = e.speed * math.sin(math.radians(e.direction_deg))
     vn = e.speed * math.cos(math.radians(e.direction_deg))
@@ -718,10 +740,7 @@ def test_mirror_symmetry_negates_east_component():
 @settings(max_examples=15, deadline=None)
 def test_estimate_never_exceeds_cap(seed):
     rng = np.random.default_rng(seed)
-    grids = [
-        GridSnapshot(t=10 * i, values=rng.uniform(0.09, 1.2, (10, 10)), valid=True)
-        for i in range(3)
-    ]
+    grids = grid_block([rng.uniform(0.09, 1.2, (10, 10)) for _ in range(3)])
     surface = accumulate_cmae(grids, 10, 50.0, v_cap=40.0)
     est = estimate_cmv(surface, 10, 50.0)
     assert est.speed <= 40.0 + 1e-9

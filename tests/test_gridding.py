@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cloudmotion.fleet import SensorSnapshot, ShadowMask, subsample_by_penetration
 from cloudmotion.fractal_field import auto_pixel_size, make_clearsky_field, required_field_side
 from cloudmotion.geometry import Rect
-from cloudmotion.gridding import _TILE, GridSpec, grid_series, idw_interpolate
+from cloudmotion.gridding import _TILE, GridSeries, GridSnapshot, GridSpec, grid_series, idw_interpolate
 from cloudmotion.synth import random_walk_fleet
 from cloudmotion.transit import MotionTruth, TransitConfig, draw_truth, run_transit
 from helpers import series_from_snapshots
@@ -198,12 +198,35 @@ def test_grid_series_cardinality_and_invalid_passthrough():
     assert [g.t for g in grids] == [0, 1, 2]
 
 
+def test_grid_series_is_one_block_of_snapshot_views():
+    spec = GridSpec(Rect(0.0, 0.0, 50.0, 50.0), 10.0)
+    three = [(1.0, 1.0, 0.5), (2.0, 2.0, 0.6), (3.0, 3.0, 0.7)]
+    snaps = [_snap(three, t=0), _snap(three[:1], t=1), _snap(three, t=2), _snap([], t=3)]
+    grids = grid_series(_series(snaps), spec, 3)
+    assert isinstance(grids, GridSeries) and grids.instants == range(4)
+    assert grids.values.shape == (4, spec.ny, spec.nx)
+    assert grids.valid.tolist() == [True, False, True, False]
+    # invalid instants are NaN rows, valid ones have no NaN
+    assert np.isnan(grids.values[[1, 3]]).all() and not np.isnan(grids.values[[0, 2]]).any()
+    assert len(grids) == 4
+    assert (grids[2].t, grids[2].valid) == (2, True)
+    assert (grids[-1].t, grids[-3].t, grids[-3].valid) == (3, 1, False)
+    with pytest.raises(IndexError):
+        grids[4]
+    views = list(grids)
+    assert [g.t for g in views] == [0, 1, 2, 3]
+    for i, g in enumerate(views):
+        assert isinstance(g, GridSnapshot) and g.valid == grids.valid[i]
+        assert np.shares_memory(g.values, grids.values)
+        assert np.array_equal(g.values, grids.values[i], equal_nan=True)
+
+
 def test_grid_series_constant_input_constant_output():
     spec = GridSpec(Rect(0.0, 0.0, 50.0, 50.0), 10.0)
     snap_sensors = [(5.0, 5.0, 0.5), (20.0, 30.0, 0.8), (40.0, 10.0, 1.0)]
     snaps = [_snap(snap_sensors, t=t) for t in range(4)]
     grids = grid_series(_series(snaps), spec, 3)
-    for g in grids[1:]:
+    for g in list(grids)[1:]:
         assert np.array_equal(g.values, grids[0].values)
 
 
