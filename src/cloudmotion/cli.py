@@ -238,6 +238,8 @@ def cmd_campaign(args) -> int:
         numba=importlib.util.find_spec("numba") is not None,
         # per pr, summed over simulations: stage seconds and the search counters
         telemetry={f"{pr:g}": tel for pr, tel in result.telemetry.items()},
+        # each (pr, block of draws) task's wall seconds, in submission order
+        tasks=list(result.tasks),
     )
     (out / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
     _write_manifest(args, out, input_paths, {"base": base_seed, "field": field_seed})

@@ -4,13 +4,17 @@ Every simulation index draws its own (speed, direction) truth from
 base_seed + index, shared across all (dmin, timestep, pr) cells, so sweep
 cells are event-matched.  RMSEs aggregate valid events only; scatter rows
 keep every simulation because a single outlier can dominate the RMSE.
+
+A task is one penetration rate over a block of consecutive truth draws.
+The draws of a pr sample the same vehicle rows and differ in k* only, so a
+block grids them all from one neighbour selection per dmin.
 """
 from __future__ import annotations
 
 import ctypes
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -23,7 +27,7 @@ from .cmae import accumulate_cmae, estimate_cmv  # noqa: F401
 from .fleet import ShadowMask, TrajectoryDataset, subsample_by_penetration
 from .fractal_field import ClearSkyField
 from .geometry import Rect
-from .gridding import GridSpec, grid_series
+from .gridding import GridSpec, grid_selected, grid_series, select_neighbours
 from .transit import SPEED_MAX_MPS, TransitConfig, draw_truth, is_valid_event, run_transit
 
 
@@ -120,6 +124,8 @@ class CellResult:
 class CampaignResult:
     cells: dict  # (dmin, timestep, pr) -> CellResult
     telemetry: dict  # pr -> TransitOutcome.telemetry summed over simulations
+    # per task, in submission order: {"pr", "first_draw", "draws", "wall_s"}
+    tasks: tuple = ()
 
     def cell(self, dmin, timestep, pr) -> CellResult:
         return self.cells[(float(dmin), int(timestep), float(pr))]
@@ -161,17 +167,26 @@ def _init_pool_worker(cfg: CampaignConfig, ds_by_pr: dict) -> None:
     _init_worker(cfg, ds_by_pr)
 
 
-def _simulate_one(sim_index: int) -> dict:
+def _simulate_block(pr: float, draws: range) -> tuple:
+    """One penetration rate over consecutive truth draws, in one task.
+
+    Returns a TransitOutcome per draw and the task's wall seconds.  The
+    draws of a pr share their sampling layout, so a block of two or more
+    draws selects each dmin's neighbours once, from its first series, and
+    grids the others from that selection; a block of one calls grid_series.
+    """
+    start = time.perf_counter()
     cfg: CampaignConfig = _STATE["cfg"]
-    ds_by_pr: dict = _STATE["ds_by_pr"]
-    truth = draw_truth(cfg.base_seed + sim_index)
-    tcfg = TransitConfig(
-        duration_s=cfg.duration_s,
-        sampling_period_s=cfg.sampling_period_s,
-        seed=cfg.base_seed + sim_index,
-    )
-    out = {}
-    for pr, ds in ds_by_pr.items():
+    ds = _STATE["ds_by_pr"][pr]
+    selections = {}  # dmin -> NeighbourSelection, dropped with the task
+    outcomes = []
+    for sim_index in draws:
+        truth = draw_truth(cfg.base_seed + sim_index)
+        tcfg = TransitConfig(
+            duration_s=cfg.duration_s,
+            sampling_period_s=cfg.sampling_period_s,
+            seed=cfg.base_seed + sim_index,
+        )
         t0 = time.perf_counter()
         series = run_transit(cfg.field, ds, cfg.mask, truth, tcfg)
         t1 = time.perf_counter()
@@ -181,8 +196,18 @@ def _simulate_one(sim_index: int) -> dict:
                      "gridding_s": 0.0, "search_s": 0.0, **dict.fromkeys(_STATS_KEYS, 0)}
         estimates = {}
         for dmin in cfg.dmin_list:
+            spec = GridSpec(cfg.bounds, dmin)
             t0 = time.perf_counter()
-            grids = grid_series(series, GridSpec(cfg.bounds, dmin), cfg.k_neighbors)
+            if len(draws) == 1:
+                grids = grid_series(series, spec, cfg.k_neighbors)
+            else:
+                if dmin not in selections:
+                    selections[dmin] = select_neighbours(series.layout, spec, cfg.k_neighbors)
+                grids = grid_selected(selections[dmin], series)
+            # search_cmv reads the grids as float32: casting here frees the
+            # float64 block before the search, whose working memory is a
+            # worker's peak, and outweighs the selection kept beside it
+            grids = replace(grids, values=grids.values.astype(np.float32))
             t1 = time.perf_counter()
             for ts in cfg.timestep_list:
                 try:
@@ -190,23 +215,34 @@ def _simulate_one(sim_index: int) -> dict:
                 except InsufficientPairsError:
                     est = invalid_estimate()
                 estimates[(float(dmin), int(ts))] = est
+            del grids
             telemetry["gridding_s"] += t1 - t0
             telemetry["search_s"] += time.perf_counter() - t1
-        out[pr] = TransitOutcome(
+        outcomes.append(TransitOutcome(
             truth_speed=truth.speed,
             truth_direction=truth.direction_deg,
             valid_event=valid_event,
             estimates=estimates,
             telemetry=telemetry,
-        )
-    return out
+        ))
+    return outcomes, time.perf_counter() - start
+
+
+def _blocks(n_draws: int, n_blocks: int) -> list:
+    """n_draws split into at most n_blocks runs of consecutive draws, longest first."""
+    n_blocks = min(n_blocks, n_draws)
+    size, extra = divmod(n_draws, n_blocks)
+    cuts = [i * size + min(i, extra) for i in range(n_blocks + 1)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
     """Run all simulations; aggregate per-cell RMSE tables and per-pr telemetry.
 
-    Aggregation is an ordered reduction over simulation indices, so the
-    result is independent of how many worker processes were used.
+    A task is one penetration rate over a block of consecutive truth draws;
+    each pr gets ceil(jobs / prs) blocks.  Aggregation is an ordered
+    reduction over simulation indices, so the result is independent of how
+    many worker processes, hence blocks, were used.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -214,24 +250,33 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
         float(pr): subsample_by_penetration(cfg.dataset, pr, cfg.base_seed)
         for pr in cfg.pr_list
     }
-    sims = range(cfg.n_simulations)
+    blocks = _blocks(cfg.n_simulations, -(-jobs // len(ds_by_pr)))
+    tasks = [(pr, draws) for pr in ds_by_pr for draws in blocks]
     if jobs > 1:
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_pool_worker, initargs=(cfg, ds_by_pr)
         ) as pool:
-            # one simulation per task: simulation times differ between
-            # truth draws, so fixed shares can leave a worker idle
-            per_sim = list(pool.map(_simulate_one, sims, chunksize=1))
+            # each task goes to the next free worker: prs and truth draws
+            # take different times, so fixed shares could leave one idle
+            done = list(pool.map(_simulate_block, *zip(*tasks), chunksize=1))
     else:
         _init_worker(cfg, ds_by_pr)
         try:
-            per_sim = [_simulate_one(i) for i in sims]
+            done = [_simulate_block(pr, draws) for pr, draws in tasks]
         finally:
             _STATE.clear()  # the caller's process must not keep the campaign alive
 
+    # back in draw order: per pr, the outcome of every simulation index
+    outcomes = {pr: [None] * cfg.n_simulations for pr in ds_by_pr}
+    for (pr, draws), (block, _) in zip(tasks, done):
+        outcomes[pr][draws.start:draws.stop] = block
+    task_timings = tuple(
+        {"pr": pr, "first_draw": draws.start, "draws": len(draws), "wall_s": wall}
+        for (pr, draws), (_, wall) in zip(tasks, done)
+    )
     telemetry = {pr: {} for pr in ds_by_pr}
-    for sim in per_sim:
-        for pr, oc in sim.items():
+    for pr, per_sim in outcomes.items():
+        for oc in per_sim:
             telemetry[pr] = {k: telemetry[pr].get(k, 0) + v for k, v in oc.telemetry.items()}
 
     cells = {}
@@ -240,8 +285,7 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
             for pr in cfg.pr_list:
                 key = (float(dmin), int(ts), float(pr))
                 speed_err, dir_err, scatter = [], [], []
-                for i, sim in enumerate(per_sim):
-                    oc: TransitOutcome = sim[float(pr)]
+                for i, oc in enumerate(outcomes[float(pr)]):
                     est = oc.estimates[(float(dmin), int(ts))]
                     capped = bool(est.valid and est.speed >= V_CAP_MPS - dmin / ts)
                     scatter.append(
@@ -258,7 +302,7 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
                     n_valid=n_valid,
                     scatter=tuple(scatter),
                 )
-    return CampaignResult(cells=cells, telemetry=telemetry)
+    return CampaignResult(cells=cells, telemetry=telemetry, tasks=task_timings)
 
 
 def write_results_csv(result: CampaignResult, path) -> None:

@@ -20,15 +20,24 @@ k selection passes, and each pass takes the first candidate at the minimum
 as argmin does.  The bounds are the same rounded per-axis terms summed,
 and rounding is monotone, so they hold in floating point; limit gets a
 1e-9 relative slack that can only admit more candidates.
+
+Which rows are a grid point's k nearest depends on the sensor positions
+only, so the selection is kept apart from its application to a k* column.
+select_neighbours selects for every instant of a SamplingLayout at once,
+and grid_selected grids any series of that layout from the selection;
+grid_series selects and applies one instant at a time.  The application
+recomputes d2 from the rows' x and y and weighs them in idw_interpolate's
+order, so all three give the same bits.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fleet import SensorSnapshot
+from .fleet import SamplingLayout, SensorSnapshot
 from .geometry import Rect
 from .transit import MeasurementSeries
 
@@ -85,13 +94,18 @@ class GridSeries:
     """
 
     instants: range
-    values: np.ndarray  # (T, ny, nx) float64
+    values: np.ndarray  # (T, ny, nx), float64 as gridded
     valid: np.ndarray  # (T,) bool
 
     def __len__(self) -> int:
         return len(self.instants)
 
     def __getitem__(self, i: int) -> GridSnapshot:
+        try:
+            i = operator.index(i)
+        except TypeError:
+            raise TypeError(f"GridSeries takes integer indices, not {type(i).__name__}; "
+                            "index .values or iterate") from None
         return GridSnapshot(t=self.instants[i], values=self.values[i], valid=bool(self.valid[i]))
 
 
@@ -146,9 +160,44 @@ def grid_series(series: MeasurementSeries, spec: GridSpec, k_neighbors: int = 3)
     An instant's sensors are the rows between two of the layout's cuts.  Bit
     for bit what idw_interpolate gives per snapshot, but each tile of the
     lattice only weighs the sensors that can be among its points' k nearest
-    (see the module docstring).
+    (see the module docstring).  Each instant's selection is applied as soon
+    as it is made and then dropped.
     """
-    if k_neighbors < 1:
+    layout = series.layout
+    return _apply(layout, series.kstar, spec, _selections(layout, spec, k_neighbors))
+
+
+@dataclass(frozen=True, eq=False)
+class NeighbourSelection:
+    """The k nearest sensors of every grid point, per sampling instant of a layout.
+
+    rows[i] is None where instant i has fewer than k sensors.  Otherwise it
+    is a (k, ny * nx) array, nearest first, of rows local to the instant
+    (0 is the layout row cuts[i]) in the smallest unsigned dtype that holds
+    them.  Which rows these are does not depend on k*, so every series of
+    the layout grids from one selection; no weight is stored.
+    """
+
+    layout: SamplingLayout
+    spec: GridSpec
+    rows: tuple
+
+
+def select_neighbours(layout: SamplingLayout, spec: GridSpec, k_neighbors: int = 3) -> NeighbourSelection:
+    """The selection that grid_series makes for every series of layout."""
+    return NeighbourSelection(layout, spec, tuple(_selections(layout, spec, k_neighbors)))
+
+
+def grid_selected(selection: NeighbourSelection, series: MeasurementSeries) -> GridSeries:
+    """grid_series of a series of selection.layout, bit for bit, from that selection."""
+    if series.layout is not selection.layout:
+        raise ValueError("the series does not share the selection's sampling layout")
+    return _apply(series.layout, series.kstar, selection.spec, selection.rows)
+
+
+def _selections(layout: SamplingLayout, spec: GridSpec, k: int):
+    """NeighbourSelection.rows of layout, one instant at a time as iterated."""
+    if k < 1:
         raise ValueError("k_neighbors must be >= 1")
     ny, nx = spec.ny, spec.nx
     nty, ntx = -(-ny // _TILE), -(-nx // _TILE)
@@ -161,24 +210,15 @@ def grid_series(series: MeasurementSeries, spec: GridSpec, k_neighbors: int = 3)
     tile_y, tile_x = np.divmod(np.arange(nty * ntx), ntx)
     offsets = np.arange(_TILE)[:, None]
     point_tile = np.tile(np.arange(nty * ntx), _TILE * _TILE)
-    tiles = (ys, xs, tile_y * _TILE + offsets, tile_x * _TILE + offsets, point_tile)
-
-    layout, z = series.layout, series.kstar
+    tiles = (ys, xs, tile_y * _TILE + offsets, tile_x * _TILE + offsets, point_tile, (ny, nx))
     x, y, cuts = layout.x, layout.y, layout.cuts
-    valid = np.diff(cuts) >= k_neighbors
-    block = np.empty((len(valid), ny, nx))
-    block[~valid] = np.nan
-    for i in np.flatnonzero(valid):
-        a, b = cuts[i], cuts[i + 1]
-        tiled = _tiled_idw(x[a:b], y[a:b], z[a:b], tiles, k_neighbors)
-        tiled = tiled.reshape(_TILE, _TILE, nty, ntx).transpose(2, 0, 3, 1)
-        block[i] = tiled.reshape(nty * _TILE, ntx * _TILE)[:ny, :nx]
-    return GridSeries(layout.instants, block, valid)
+    return (_select(x[a:b], y[a:b], tiles, k) if b - a >= k else None
+            for a, b in zip(cuts, cuts[1:]))
 
 
-def _tiled_idw(x: np.ndarray, y: np.ndarray, z: np.ndarray, tiles: tuple, k: int) -> np.ndarray:
-    """IDW values of every padded lattice point, in grid_series' point order."""
-    ys, xs, tile_row, tile_col, point_tile = tiles
+def _select(x: np.ndarray, y: np.ndarray, tiles: tuple, k: int) -> np.ndarray:
+    """One instant's (k, grid points) rows of NeighbourSelection, by tiles."""
+    ys, xs, tile_row, tile_col, point_tile, (ny, nx) = tiles
     n_tiles = tile_row.shape[1]
     order = np.lexsort((y, x))  # canonical, as idw_interpolate
     n = len(order)
@@ -204,32 +244,68 @@ def _tiled_idw(x: np.ndarray, y: np.ndarray, z: np.ndarray, tiles: tuple, k: int
     cand[np.arange(len(tile)) - (np.cumsum(counts) - counts)[tile], tile] = sensor
 
     # d2 as (candidate, point) by the same row-term + column-term sum as
-    # idw_interpolate; the tile index runs fastest along the points.
+    # idw_interpolate; points run (row in tile, column in tile, tile).
     d2 = np.empty((n_cand, _TILE, _TILE, n_tiles))
     np.add(ry.ravel()[tile_row * (n + 1) + cand[:, None, :]][:, :, None, :],
            cx.ravel()[tile_col * (n + 1) + cand[:, None, :]][:, None, :, :], out=d2)
     d2 = d2.reshape(n_cand, -1)
     n_points = d2.shape[1]
     points = np.arange(n_points)
-    zc = np.append(z[order], 0.0)[cand]
 
     # k passes; each takes the first candidate at the minimum, the lowest
     # canonical index, as argmin does in idw_interpolate: that candidate's
-    # row is n_cand - max((d2 == min) * (n_cand - row)).
+    # row is n_cand - max((d2 == min) * (n_cand - row)).  Each chosen entry
+    # is then masked with inf.
     weight = np.arange(n_cand, 0, -1, dtype=np.min_scalar_type(n_cand))[:, None]
-    wsum = np.zeros(n_points)
-    vsum = np.zeros(n_points)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for slot in range(k):
-            dj = d2.min(axis=0)
-            j = n_cand - ((d2 == dj) * weight).max(axis=0).astype(np.intp)
-            zj = zc.ravel()[j * n_tiles + point_tile]
-            if slot == 0:
-                nearest, coincident = zj, dj == 0.0
-            w = 1.0 / np.sqrt(dj)
-            wsum += w
-            vsum += w * zj
-            d2.reshape(-1)[j * n_points + points] = np.inf
-        values = vsum / wsum
-    values[coincident] = nearest[coincident]
-    return values
+    chosen = np.empty((k, n_points), dtype=np.intp)
+    for slot in range(k):
+        dj = d2.min(axis=0)
+        chosen[slot] = n_cand - ((d2 == dj) * weight).max(axis=0)
+        d2.reshape(-1)[chosen[slot] * n_points + points] = np.inf
+    # each chosen candidate's row in the instant, then the points of the
+    # lattice in (row, column) order
+    local = np.append(order, 0)[cand].astype(np.min_scalar_type(n - 1)).ravel()
+    chosen *= n_tiles
+    chosen += point_tile
+    rows = local[chosen].reshape(k, _TILE, _TILE, len(ys) // _TILE, len(xs) // _TILE)
+    rows = rows.transpose(0, 3, 1, 4, 2).reshape(k, len(ys), len(xs))[:, :ny, :nx]
+    return rows.reshape(k, ny * nx)
+
+
+def _apply(layout: SamplingLayout, z: np.ndarray, spec: GridSpec, selections) -> GridSeries:
+    """The GridSeries of k* column z from one selection per instant of layout.
+
+    The same operations in the same order as idw_interpolate: d2 as row
+    term + column term, w = 1/sqrt(d2) summed slot by slot, vsum / wsum,
+    and a sensor on a grid point (slot 0 at d2 == 0) taking its value.
+    """
+    ny, nx = spec.ny, spec.nx
+    xs, ys = spec.axes()
+    row_of, col_of = np.divmod(np.arange(ny * nx), nx)
+    gy, gx = ys[row_of], xs[col_of]  # each grid point's coordinates
+    cuts = layout.cuts
+    block = np.empty((len(layout.instants), ny, nx))
+    valid = np.zeros(len(block), dtype=bool)
+    for i, rows in enumerate(selections):
+        if rows is None:
+            block[i] = np.nan
+            continue
+        valid[i] = True
+        rows = np.add(rows, cuts[i], dtype=np.intp)  # (slot, point): layout rows
+        ry = np.subtract(gy, layout.y[rows])
+        d2 = np.square(ry, out=ry)
+        cx = np.subtract(gx, layout.x[rows])
+        d2 += np.square(cx, out=cx)
+        zk = z[rows]
+        values = block[i].reshape(-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.divide(1.0, np.sqrt(d2, out=cx), out=cx)
+            wz = np.multiply(w, zk, out=zk)
+            wsum, vsum = np.zeros(ny * nx), np.zeros(ny * nx)
+            for slot in range(len(rows)):  # nearest first
+                wsum += w[slot]
+                vsum += wz[slot]
+            np.divide(vsum, wsum, out=values)
+        coincident = d2[0] == 0.0
+        values[coincident] = z[rows[0][coincident]]
+    return GridSeries(layout.instants, block, valid)

@@ -171,6 +171,9 @@ def test_campaign_writes_timings(tmp_path, fleet_csv):
             assert all(tel[k] >= 0 for k in tel), (pr, tel)
             assert sum(tel[k] for k in levels) == tel["candidates"] > 0, (pr, tel)
         assert list(timings["setup_s"]) == setup
+        covered = [(t["pr"], t["first_draw"] + i) for t in timings["tasks"] for i in range(t["draws"])]
+        assert sorted(covered) == [(pr, i) for pr in (0.5, 1.0) for i in range(2)], timings["tasks"]
+        assert all(t["wall_s"] > 0 for t in timings["tasks"]), timings["tasks"]
         numbers = [*timings["setup_s"].values(), timings["campaign_s"], timings["peak_rss_mb"]]
         assert all(type(v) in (int, float) and np.isfinite(v) and v >= 0 for v in numbers), timings
         assert timings["nproc"] >= 1 and isinstance(timings["numba"], bool)

@@ -178,6 +178,27 @@ def test_campaign_deterministic_and_jobs_invariant():
         )
 
 
+def test_campaign_blocks_of_draws_do_not_change_results():
+    # 3 draws at 2 prs: jobs 1 gives one block of 3 per pr (one selection,
+    # applied to the other draws), jobs 3 blocks of 2 + 1, jobs 6 one draw
+    # per task (grid_series each)
+    cfg = _small_config(pr_list=(0.5, 1.0), n_simulations=3)
+    results = {jobs: run_campaign(cfg, jobs=jobs) for jobs in (1, 3, 6)}
+    sizes = {jobs: [(t["pr"], t["first_draw"], t["draws"]) for t in r.tasks]
+             for jobs, r in results.items()}
+    assert sizes == {1: [(0.5, 0, 3), (1.0, 0, 3)],
+                     3: [(0.5, 0, 2), (0.5, 2, 1), (1.0, 0, 2), (1.0, 2, 1)],
+                     6: [(pr, i, 1) for pr in (0.5, 1.0) for i in range(3)]}
+    assert all(t["wall_s"] > 0 for r in results.values() for t in r.tasks)
+    base = results[1]
+    for r in results.values():
+        assert r.cells == base.cells
+        for pr, tel in r.telemetry.items():
+            counters = {k: v for k, v in tel.items() if not k.endswith("_s")}
+            assert counters == {k: v for k, v in base.telemetry[pr].items()
+                                if not k.endswith("_s")}
+
+
 def test_serial_campaign_releases_its_state(monkeypatch):
     # jobs=1 runs in the caller's process: the field and datasets must not
     # stay referenced once the campaign returns or fails
@@ -185,10 +206,10 @@ def test_serial_campaign_releases_its_state(monkeypatch):
     run_campaign(cfg, jobs=1)
     assert evaluation._STATE == {}
 
-    def failing(sim_index):
+    def failing(pr, draws):
         raise RuntimeError("simulation failed")
 
-    monkeypatch.setattr(evaluation, "_simulate_one", failing)
+    monkeypatch.setattr(evaluation, "_simulate_block", failing)
     with pytest.raises(RuntimeError):
         run_campaign(cfg, jobs=1)
     assert evaluation._STATE == {}

@@ -8,9 +8,18 @@ from hypothesis import strategies as st
 from cloudmotion.fleet import SensorSnapshot, ShadowMask, subsample_by_penetration
 from cloudmotion.fractal_field import auto_pixel_size, make_clearsky_field, required_field_side
 from cloudmotion.geometry import Rect
-from cloudmotion.gridding import _TILE, GridSeries, GridSnapshot, GridSpec, grid_series, idw_interpolate
+from cloudmotion.gridding import (
+    _TILE,
+    GridSeries,
+    GridSnapshot,
+    GridSpec,
+    grid_selected,
+    grid_series,
+    idw_interpolate,
+    select_neighbours,
+)
 from cloudmotion.synth import random_walk_fleet
-from cloudmotion.transit import MotionTruth, TransitConfig, draw_truth, run_transit
+from cloudmotion.transit import MeasurementSeries, MotionTruth, TransitConfig, draw_truth, run_transit
 from helpers import series_from_snapshots
 
 
@@ -221,6 +230,16 @@ def test_grid_series_is_one_block_of_snapshot_views():
         assert np.array_equal(g.values, grids.values[i], equal_nan=True)
 
 
+@pytest.mark.parametrize("index", [slice(1, None), 1.0])
+def test_grid_series_rejects_non_integer_index(index):
+    spec = GridSpec(Rect(0.0, 0.0, 50.0, 50.0), 10.0)
+    three = [(1.0, 1.0, 0.5), (2.0, 2.0, 0.6), (3.0, 3.0, 0.7)]
+    grids = grid_series(_series([_snap(three, t=0), _snap(three, t=1)]), spec, 3)
+    assert grids[np.int64(1)].t == 1
+    with pytest.raises(TypeError, match=r"integer indices.*\.values or iterate"):
+        grids[index]
+
+
 def test_grid_series_constant_input_constant_output():
     spec = GridSpec(Rect(0.0, 0.0, 50.0, 50.0), 10.0)
     snap_sensors = [(5.0, 5.0, 0.5), (20.0, 30.0, 0.8), (40.0, 10.0, 1.0)]
@@ -298,6 +317,89 @@ def test_grid_series_more_than_255_candidates():
     sensors = [(12.5, 7.5, z) for z in rng.uniform(0.09, 1.2, 300)] + [(40.0, 40.0, 0.3)]
     spec = GridSpec(Rect(0.0, 0.0, 60.0, 60.0), 5.0)
     _assert_matches_reference(_series([_snap(sensors)]), spec, 3)
+
+
+# ---------------------------------- one neighbour selection, many k* columns
+
+def _assert_selection_matches_reference(series, spec, k, columns):
+    """Grids of each k* column from one selection of series.layout equal
+    idw_interpolate per snapshot and grid_series, bit for bit."""
+    selection = select_neighbours(series.layout, spec, k)
+    for kstar in columns:
+        other = MeasurementSeries(series.layout, np.asarray(kstar, dtype=np.float64), series.truth)
+        grids = grid_selected(selection, other)
+        assert np.array_equal(grids.values, grid_series(other, spec, k).values, equal_nan=True)
+        assert len(grids) == len(other.snapshots)
+        for grid, snap in zip(grids, other.snapshots):
+            ref = idw_interpolate(snap, spec, k)
+            assert (grid.t, grid.valid) == (ref.t, ref.valid)
+            assert np.array_equal(grid.values, ref.values, equal_nan=True)
+    return selection
+
+
+@st.composite
+def _selection_case(draw):
+    """A _tiled_series_case layout (ties, shared positions, sensors on grid
+    points, dense clusters, instants below k and empty ones) and a few
+    random k* columns of its rows."""
+    series, spec, k = draw(_tiled_series_case())
+    if draw(st.booleans()):  # an empty instant
+        snaps = list(series.snapshots) + [_snap([], t=len(series.snapshots))]
+        series = _series(snaps)
+    n = len(series.kstar)
+    column = st.lists(st.floats(0.09, 1.2), min_size=n, max_size=n)
+    return series, spec, k, draw(st.lists(column, min_size=1, max_size=3))
+
+
+@given(_selection_case())
+@settings(max_examples=100, deadline=None)
+def test_selection_grids_match_idw_interpolate(case):
+    _assert_selection_matches_reference(*case)
+
+
+def test_selection_more_than_256_sensors_in_uint16_rows():
+    # an instant of 301 sensors needs rows past 255; one of 3 fits in uint8
+    rng = np.random.default_rng(6)
+    crowd = [(12.5, 7.5, 0.5)] * 150 + [(float(x), float(y), 0.5)
+                                        for x, y in rng.integers(0, 60, (151, 2))]
+    few = [(5.0, 5.0, 0.5), (30.0, 30.0, 0.5), (55.0, 5.0, 0.5)]
+    series = _series([_snap(crowd, t=0), _snap(few, t=1), _snap(few[:2], t=2)])
+    spec = GridSpec(Rect(0.0, 0.0, 60.0, 60.0), 5.0)
+    columns = rng.uniform(0.09, 1.2, (3, len(series.kstar)))
+    selection = _assert_selection_matches_reference(series, spec, 3, columns)
+    assert [None if r is None else r.dtype for r in selection.rows] == [np.uint16, np.uint8, None]
+    assert selection.rows[0].shape == (3, spec.ny * spec.nx)
+    assert selection.rows[0].max() > 255
+
+
+def test_selection_of_masked_transits_at_nested_penetration_rates():
+    # a building mask leaves instants with no sensor, with fewer than k and
+    # with k or more; the draws of one pr share their layout, and pr 0.5 is
+    # a subset of pr 1.0's vehicles
+    bounds = Rect(0.0, 0.0, 300.0, 300.0)
+    pixel = auto_pixel_size(256, required_field_side(60, 30.0, bounds.diagonal))
+    field = make_clearsky_field(256, 1.5, seed=3, pixel_size_m=pixel)
+    mask = ShadowMask(mask=np.random.default_rng(0).random((6, 6)) < 0.5,
+                      origin=(0.0, 0.0), pixel_size_m=50.0)
+    fleet = random_walk_fleet(8, bounds, 60, seed=1)
+    spec = GridSpec(bounds, 10.0)
+    counts = set()
+    for pr in (0.5, 1.0):
+        ds = subsample_by_penetration(fleet, pr, 0)
+        draws = [run_transit(field, ds, mask, draw_truth(i), TransitConfig(60, 1, seed=i))
+                 for i in range(4)]
+        assert all(d.layout is draws[0].layout for d in draws)
+        counts |= {len(s.sensors) for s in draws[0].snapshots}
+        _assert_selection_matches_reference(draws[0], spec, 3, [d.kstar for d in draws])
+    assert {0, 1, 2} <= counts and max(counts) >= 3
+
+
+def test_grid_selected_needs_the_selections_layout():
+    spec = GridSpec(Rect(0.0, 0.0, 50.0, 50.0), 10.0)
+    three = [(1.0, 1.0, 0.5), (2.0, 2.0, 0.6), (3.0, 3.0, 0.7)]
+    selection = select_neighbours(_series([_snap(three)]).layout, spec, 3)
+    with pytest.raises(ValueError, match="layout"):
+        grid_selected(selection, _series([_snap(three)]))
 
 
 @pytest.mark.parametrize("period", [1, 2])
