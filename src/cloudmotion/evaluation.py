@@ -11,7 +11,6 @@ block grids them all from one neighbour selection per dmin.
 """
 from __future__ import annotations
 
-import ctypes
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -72,6 +71,9 @@ class CampaignConfig:
             raise ValueError("n_simulations must be >= 1")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
+        for name in ("dmin_list", "timestep_list", "pr_list"):
+            if len(getattr(self, name)) == 0:
+                raise ValueError(f"{name} must not be empty")
         if self.sampling_period_s <= 0:
             raise ValueError("sampling_period_s must be positive")
         if any(ts <= 0 for ts in self.timestep_list):
@@ -141,32 +143,6 @@ def _init_worker(cfg: CampaignConfig, ds_by_pr: dict) -> None:
     _STATE["ds_by_pr"] = ds_by_pr
 
 
-# glibc raises its mmap threshold to the largest mmapped block freed so far
-# (up to 32 MiB) and keeps up to twice that free at the top of its heap, so a
-# forked worker inherits whatever its parent last freed: arrays below that
-# size come from the heap, and where they land there, hence the worker's peak
-# resident set, depends on the parent's heap at fork.  Pool workers pin both
-# thresholds and hand the inherited free heap back, so every worker allocates
-# its MiB-sized arrays the same way.
-_WORKER_MMAP_THRESHOLD_B = 1 << 20
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, malloc.h
-
-
-def _init_pool_worker(cfg: CampaignConfig, ds_by_pr: dict) -> None:
-    try:
-        libc = ctypes.CDLL(None)
-        mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
-    except (AttributeError, OSError, TypeError):
-        pass  # not glibc: no inherited thresholds to pin
-    else:
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        malloc_trim.argtypes, malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD_B)
-        mallopt(_M_TRIM_THRESHOLD, 2 * _WORKER_MMAP_THRESHOLD_B)
-        malloc_trim(0)
-    _init_worker(cfg, ds_by_pr)
-
-
 def _simulate_block(pr: float, draws: range) -> tuple:
     """One penetration rate over consecutive truth draws, in one task.
 
@@ -204,7 +180,7 @@ def _simulate_block(pr: float, draws: range) -> tuple:
                 if dmin not in selections:
                     selections[dmin] = select_neighbours(series.layout, spec, cfg.k_neighbors)
                 grids = grid_selected(selections[dmin], series)
-            # search_cmv reads the grids as float32: casting here frees the
+            # search_cmv reads float32 grids in place: casting here frees the
             # float64 block before the search, whose working memory is a
             # worker's peak, and outweighs the selection kept beside it
             grids = replace(grids, values=grids.values.astype(np.float32))
@@ -254,7 +230,7 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
     tasks = [(pr, draws) for pr in ds_by_pr for draws in blocks]
     if jobs > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_pool_worker, initargs=(cfg, ds_by_pr)
+            max_workers=jobs, initializer=_init_worker, initargs=(cfg, ds_by_pr)
         ) as pool:
             # each task goes to the next free worker: prs and truth draws
             # take different times, so fixed shares could leave one idle

@@ -110,7 +110,6 @@ class TrajectoryDataset:
     table: np.ndarray
     window: tuple
     bounds: Rect
-    _by_t: dict = field(init=False, repr=False)
     # the last sampling layout built; pickles and copies start without it
     _layout: Optional[SamplingLayout] = field(init=False, repr=False)
 
@@ -122,11 +121,7 @@ class TrajectoryDataset:
             raise ValueError(f"record t={t[outside][0]} outside window of length {length}")
         table = self.table[np.lexsort((self.table["vehicle_id"], t))]
         table.flags.writeable = False
-        times, starts = np.unique(table["t"], return_index=True)
-        ends = np.append(starts[1:], len(table))
-        by_t = {a: slice(b, c) for a, b, c in zip(times.tolist(), starts.tolist(), ends.tolist())}
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_by_t", by_t)
         object.__setattr__(self, "_layout", None)
 
     def __getstate__(self) -> dict:
@@ -145,7 +140,8 @@ class TrajectoryDataset:
 
     def records_at(self, t: int) -> np.ndarray:
         """Records at t, id-sorted: a structured array of vehicle_id, t, x, y."""
-        return self.table[self._by_t.get(t, slice(0))]
+        times = self.table["t"]
+        return self.table[times.searchsorted(t, "left") : times.searchsorted(t, "right")]
 
     def sampling_layout(
         self, duration_s: int, sampling_period_s: int, mask: Optional[ShadowMask]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -612,6 +613,25 @@ def test_search_space_views_one_block_when_every_pair_is_valid():
     assert not np.shares_memory(a_stack, b_stack)
     assert np.array_equal(a_stack, grids.values[pairs].astype(np.float32))
     assert np.array_equal(b_stack, grids.values[[k + 2 for k in pairs]].astype(np.float32))
+    # a float32 block, as campaign tasks hand over, is read in place
+    single = replace(grids, values=grids.values.astype(np.float32))
+    a_stack, b_stack, _, _ = cmae_mod._search_space(single, 20, 10.0, 40.0)
+    assert np.shares_memory(a_stack, single.values) and np.shares_memory(b_stack, single.values)
+
+
+def test_search_reads_a_read_only_float32_block_without_writing():
+    grids = translation_grids(seed=27, ny=9, nx=10, dx=1, dy=-1, n_snaps=12, spacing_s=10)
+    block = grids.values.astype(np.float32)
+    block.flags.writeable = False
+    frozen = replace(grids, values=block)
+    copy64 = replace(grids, values=block.astype(np.float64))
+    before = block.copy()
+    for ts in (10, 20):
+        assert search_cmv(frozen, ts, 10.0) == search_cmv(copy64, ts, 10.0)
+        surface, reference = accumulate_cmae(frozen, ts, 10.0), accumulate_cmae(copy64, ts, 10.0)
+        assert np.array_equal(surface.displacements, reference.displacements)
+        assert np.array_equal(surface.cmae, reference.cmae)
+    assert np.array_equal(block, before)
 
 
 def test_pruned_search_single_pair():

@@ -1,8 +1,3 @@
-import os
-import platform
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -118,9 +113,12 @@ def test_campaign_validates_parameters(override):
         ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
         ({"mask": ShadowMask(np.zeros((2, 2), dtype=bool), (0.0, 0.0), 100.0)},
          "shadow mask does not cover the observation bounds"),
+        ({"pr_list": ()}, "pr_list must not be empty"),
+        ({"dmin_list": ()}, "dmin_list must not be empty"),
+        ({"timestep_list": ()}, "timestep_list must not be empty"),
     ],
     ids=["pr-0", "pr-above-1", "pr-nan", "duration-0", "duration-past-fleet", "seed-neg",
-         "mask-short-of-bounds"],
+         "mask-short-of-bounds", "pr-empty", "dmin-empty", "timestep-empty"],
 )
 def test_campaign_checks_sweep_and_scenario(override, message):
     # each of these used to surface only in a simulation, after the field was built
@@ -213,53 +211,6 @@ def test_serial_campaign_releases_its_state(monkeypatch):
     with pytest.raises(RuntimeError):
         run_campaign(cfg, jobs=1)
     assert evaluation._STATE == {}
-
-
-# Runs in a fresh interpreter: the test process's heap holds free blocks of
-# many sizes, and malloc reuses those before it maps anything.
-_MMAP_PROBE = """
-import ctypes, multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
-from cloudmotion import evaluation
-
-libc = ctypes.CDLL(None)
-libc.malloc.argtypes, libc.malloc.restype = [ctypes.c_size_t], ctypes.c_void_p
-libc.free.argtypes, libc.free.restype = [ctypes.c_void_p], None
-
-def from_brk_heap(size):
-    ptr = libc.malloc(size)
-    try:
-        for line in Path("/proc/self/maps").read_text().splitlines():
-            if line.endswith("[heap]"):
-                lo, hi = (int(a, 16) for a in line.split()[0].split("-"))
-                if lo <= ptr < hi:
-                    return True
-        return False
-    finally:
-        libc.free(ptr)
-
-libc.free(libc.malloc(8 << 20))  # freeing a mapped 8 MiB block raises the threshold
-before = from_brk_heap(2 << 20)
-with ProcessPoolExecutor(
-    max_workers=1, mp_context=multiprocessing.get_context("fork"),
-    initializer=evaluation._init_pool_worker, initargs=(None, {}),
-) as pool:
-    print(before, pool.submit(from_brk_heap, 2 << 20).result(timeout=60))
-"""
-
-
-@pytest.mark.skipif(
-    sys.platform != "linux" or platform.libc_ver()[0] != "glibc", reason="glibc malloc only"
-)
-def test_pool_workers_map_large_blocks_whatever_the_parent_freed():
-    # a forked worker inherits its parent's raised mmap threshold; a pool
-    # worker must still map MiB-sized blocks on their own, or its peak
-    # resident set depends on where they land in the heap it inherited
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    run = subprocess.run([sys.executable, "-c", _MMAP_PROBE], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert run.stdout.split() == ["True", "False"]
 
 
 def test_campaign_paired_truth_draws_across_cells():

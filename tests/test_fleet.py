@@ -102,6 +102,18 @@ def test_dataset_sorts_by_time_then_id():
     assert not ds.table.flags.writeable
 
 
+def test_records_at_slices_each_instant_of_the_table():
+    rng = np.random.default_rng(5)
+    n, length = 40, 12
+    t = rng.integers(0, length + 1, n)
+    t[t == 4] = 5  # an instant with no record
+    ds = TrajectoryDataset(trajectory_table([f"v{i}" for i in range(n)], t, rng.uniform(0, 100, n),
+                                            rng.uniform(0, 100, n)), (0, length), BOUNDS)
+    for at in range(-1, length + 2):
+        assert np.array_equal(ds.records_at(at), ds.table[ds.table["t"] == at])
+    assert len(ds.records_at(4)) == 0
+
+
 def _reference_load(path, rows, bounds, window):
     """The tuple algorithm: bounds, then window, rebase, duplicates, (t, id) sort."""
     inside = [r for r in rows if bounds.x0 <= r[2] <= bounds.x1 and bounds.y0 <= r[3] <= bounds.y1]
