@@ -177,12 +177,12 @@ def accumulate_cmae(
 def _chunk_sums(stack: np.ndarray) -> np.ndarray:
     """(chunks, ny, nx) float64 sums of _CHUNK_PAIRS consecutive pairs.
 
-    The stack is zero-padded to whole chunks; padded pairs add |0 - 0| = 0
-    to a bound.
+    The last chunk may hold fewer pairs.  Whole chunks are summed from a
+    reshaped view of the stack, so no padded copy of it is made.
     """
-    pad = -stack.shape[0] % _CHUNK_PAIRS
-    padded = np.pad(stack, ((0, pad), (0, 0), (0, 0)))
-    return padded.reshape(-1, _CHUNK_PAIRS, *stack.shape[1:]).sum(axis=1, dtype=np.float64)
+    whole = stack.shape[0] - stack.shape[0] % _CHUNK_PAIRS
+    chunks = [stack[:whole].reshape(-1, _CHUNK_PAIRS, *stack.shape[1:]), stack[None, whole:]]
+    return np.concatenate([c.sum(axis=1, dtype=np.float64) for c in chunks if c.shape[1]])
 
 
 def _box_sums(chunks: np.ndarray) -> np.ndarray:

@@ -23,11 +23,11 @@ and rounding is monotone, so they hold in floating point; limit gets a
 
 Which rows are a grid point's k nearest depends on the sensor positions
 only, so the selection is kept apart from its application to a k* column.
-select_neighbours selects for every instant of a SamplingLayout at once,
-and grid_selected grids any series of that layout from the selection;
-grid_series selects and applies one instant at a time.  The application
-recomputes d2 from the rows' x and y and weighs them in idw_interpolate's
-order, so all three give the same bits.
+select_neighbours selects for every instant of a SamplingLayout, and
+grid_selected grids any series of that layout from the selection;
+grid_series is the two for one series.  The application recomputes d2
+from the rows' x and y and weighs them in idw_interpolate's order, so it
+gives idw_interpolate's bits.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from .fleet import SamplingLayout, SensorSnapshot
 from .geometry import Rect
 from .transit import MeasurementSeries
 
-# Grid points per tile side in grid_series; 6 timed fastest of 4, 6, 8, 10.
+# Grid points per tile side in select_neighbours; 6 timed fastest of 4, 6, 8, 10.
 _TILE = 6
 
 
@@ -57,8 +57,8 @@ class GridSpec:
     dmin: float
 
     def __post_init__(self) -> None:
-        if self.dmin <= 0:
-            raise ValueError("dmin must be positive")
+        if not 0 < self.dmin < math.inf:
+            raise ValueError("dmin must be positive and finite")
 
     @property
     def nx(self) -> int:
@@ -154,19 +154,6 @@ def idw_interpolate(snapshot: SensorSnapshot, spec: GridSpec, k_neighbors: int =
     return GridSnapshot(t=snapshot.t, values=values.reshape(ny, nx), valid=True)
 
 
-def grid_series(series: MeasurementSeries, spec: GridSpec, k_neighbors: int = 3) -> GridSeries:
-    """The grids of every sampling instant, invalid ones kept in place as NaN.
-
-    An instant's sensors are the rows between two of the layout's cuts.  Bit
-    for bit what idw_interpolate gives per snapshot, but each tile of the
-    lattice only weighs the sensors that can be among its points' k nearest
-    (see the module docstring).  Each instant's selection is applied as soon
-    as it is made and then dropped.
-    """
-    layout = series.layout
-    return _apply(layout, series.kstar, spec, _selections(layout, spec, k_neighbors))
-
-
 @dataclass(frozen=True, eq=False)
 class NeighbourSelection:
     """The k nearest sensors of every grid point, per sampling instant of a layout.
@@ -184,20 +171,8 @@ class NeighbourSelection:
 
 
 def select_neighbours(layout: SamplingLayout, spec: GridSpec, k_neighbors: int = 3) -> NeighbourSelection:
-    """The selection that grid_series makes for every series of layout."""
-    return NeighbourSelection(layout, spec, tuple(_selections(layout, spec, k_neighbors)))
-
-
-def grid_selected(selection: NeighbourSelection, series: MeasurementSeries) -> GridSeries:
-    """grid_series of a series of selection.layout, bit for bit, from that selection."""
-    if series.layout is not selection.layout:
-        raise ValueError("the series does not share the selection's sampling layout")
-    return _apply(series.layout, series.kstar, selection.spec, selection.rows)
-
-
-def _selections(layout: SamplingLayout, spec: GridSpec, k: int):
-    """NeighbourSelection.rows of layout, one instant at a time as iterated."""
-    if k < 1:
+    """The k nearest rows of every grid point, for every instant of layout, by tiles."""
+    if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
     ny, nx = spec.ny, spec.nx
     nty, ntx = -(-ny // _TILE), -(-nx // _TILE)
@@ -212,8 +187,61 @@ def _selections(layout: SamplingLayout, spec: GridSpec, k: int):
     point_tile = np.tile(np.arange(nty * ntx), _TILE * _TILE)
     tiles = (ys, xs, tile_y * _TILE + offsets, tile_x * _TILE + offsets, point_tile, (ny, nx))
     x, y, cuts = layout.x, layout.y, layout.cuts
-    return (_select(x[a:b], y[a:b], tiles, k) if b - a >= k else None
-            for a, b in zip(cuts, cuts[1:]))
+    rows = tuple(_select(x[a:b], y[a:b], tiles, k_neighbors) if b - a >= k_neighbors else None
+                 for a, b in zip(cuts, cuts[1:]))
+    return NeighbourSelection(layout, spec, rows)
+
+
+def grid_selected(selection: NeighbourSelection, series: MeasurementSeries,
+                  dtype: type = np.float64) -> GridSeries:
+    """The GridSeries of a series of selection.layout, from that selection.
+
+    The same operations in the same order as idw_interpolate: d2 as row
+    term + column term, w = 1/sqrt(d2) summed slot by slot, vsum / wsum,
+    and a sensor on a grid point (slot 0 at d2 == 0) taking its value.
+    Each instant is computed in float64 and stored in a block of dtype, so
+    float32 gives the float64 block's astype(float32) without holding it.
+    """
+    if series.layout is not selection.layout:
+        raise ValueError("the series does not share the selection's sampling layout")
+    layout, z, spec = series.layout, series.kstar, selection.spec
+    ny, nx = spec.ny, spec.nx
+    xs, ys = spec.axes()
+    gy, gx = np.repeat(ys, nx), np.tile(xs, ny)  # each grid point's coordinates
+    block = np.empty((len(layout.instants), ny, nx), dtype=dtype)
+    valid = np.zeros(len(block), dtype=bool)
+    for i, rows in enumerate(selection.rows):
+        if rows is None:
+            block[i] = np.nan
+            continue
+        valid[i] = True
+        rows = np.add(rows, layout.cuts[i], dtype=np.intp)  # (slot, point): layout rows
+        ry = np.subtract(gy, layout.y[rows])
+        d2 = np.square(ry, out=ry)
+        cx = np.subtract(gx, layout.x[rows])
+        d2 += np.square(cx, out=cx)
+        zk = z[rows]
+        values = block[i].reshape(-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.divide(1.0, np.sqrt(d2, out=cx), out=cx)
+            wz = np.multiply(w, zk, out=zk)
+            wsum, vsum = np.zeros(ny * nx), np.zeros(ny * nx)
+            for slot in range(len(rows)):  # nearest first
+                wsum += w[slot]
+                vsum += wz[slot]
+            np.divide(vsum, wsum, out=values)
+        coincident = d2[0] == 0.0
+        values[coincident] = z[rows[0][coincident]]
+    return GridSeries(layout.instants, block, valid)
+
+
+def grid_series(series: MeasurementSeries, spec: GridSpec, k_neighbors: int = 3) -> GridSeries:
+    """The grids of every sampling instant, invalid ones kept in place as NaN.
+
+    One selection for the series' layout, applied to its k* column: bit for
+    bit what idw_interpolate gives per snapshot.
+    """
+    return grid_selected(select_neighbours(series.layout, spec, k_neighbors), series)
 
 
 def _select(x: np.ndarray, y: np.ndarray, tiles: tuple, k: int) -> np.ndarray:
@@ -271,41 +299,3 @@ def _select(x: np.ndarray, y: np.ndarray, tiles: tuple, k: int) -> np.ndarray:
     rows = rows.transpose(0, 3, 1, 4, 2).reshape(k, len(ys), len(xs))[:, :ny, :nx]
     return rows.reshape(k, ny * nx)
 
-
-def _apply(layout: SamplingLayout, z: np.ndarray, spec: GridSpec, selections) -> GridSeries:
-    """The GridSeries of k* column z from one selection per instant of layout.
-
-    The same operations in the same order as idw_interpolate: d2 as row
-    term + column term, w = 1/sqrt(d2) summed slot by slot, vsum / wsum,
-    and a sensor on a grid point (slot 0 at d2 == 0) taking its value.
-    """
-    ny, nx = spec.ny, spec.nx
-    xs, ys = spec.axes()
-    row_of, col_of = np.divmod(np.arange(ny * nx), nx)
-    gy, gx = ys[row_of], xs[col_of]  # each grid point's coordinates
-    cuts = layout.cuts
-    block = np.empty((len(layout.instants), ny, nx))
-    valid = np.zeros(len(block), dtype=bool)
-    for i, rows in enumerate(selections):
-        if rows is None:
-            block[i] = np.nan
-            continue
-        valid[i] = True
-        rows = np.add(rows, cuts[i], dtype=np.intp)  # (slot, point): layout rows
-        ry = np.subtract(gy, layout.y[rows])
-        d2 = np.square(ry, out=ry)
-        cx = np.subtract(gx, layout.x[rows])
-        d2 += np.square(cx, out=cx)
-        zk = z[rows]
-        values = block[i].reshape(-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.divide(1.0, np.sqrt(d2, out=cx), out=cx)
-            wz = np.multiply(w, zk, out=zk)
-            wsum, vsum = np.zeros(ny * nx), np.zeros(ny * nx)
-            for slot in range(len(rows)):  # nearest first
-                wsum += w[slot]
-                vsum += wz[slot]
-            np.divide(vsum, wsum, out=values)
-        coincident = d2[0] == 0.0
-        values[coincident] = z[rows[0][coincident]]
-    return GridSeries(layout.instants, block, valid)

@@ -54,6 +54,23 @@ def test_grid_points_anchored_lower_left():
     assert gx.max() == 25.0 and gy.max() == 17.0
 
 
+@pytest.mark.parametrize("dmin", [0.0, -1.0, float("inf"), float("nan")])
+def test_grid_spec_rejects_dmin_not_positive_finite(dmin):
+    with pytest.raises(ValueError, match="dmin must be positive and finite"):
+        GridSpec(Rect(0.0, 0.0, 600.0, 900.0), dmin)
+
+
+@pytest.mark.parametrize("entry", ["idw_interpolate", "select_neighbours", "grid_series"])
+def test_gridding_entry_points_reject_k_below_one(entry):
+    spec = GridSpec(Rect(0.0, 0.0, 50.0, 50.0), 10.0)
+    series = _series([_snap([(1.0, 1.0, 0.5), (2.0, 2.0, 0.6)])])
+    call = {"idw_interpolate": lambda: idw_interpolate(series.snapshots[0], spec, 0),
+            "select_neighbours": lambda: select_neighbours(series.layout, spec, 0),
+            "grid_series": lambda: grid_series(series, spec, 0)}[entry]
+    with pytest.raises(ValueError, match="k_neighbors must be >= 1"):
+        call()
+
+
 # -------------------------------------------------------------------- IDW
 
 def test_idw_coincident_sensor_is_exact():
@@ -329,6 +346,8 @@ def _assert_selection_matches_reference(series, spec, k, columns):
         other = MeasurementSeries(series.layout, np.asarray(kstar, dtype=np.float64), series.truth)
         grids = grid_selected(selection, other)
         assert np.array_equal(grids.values, grid_series(other, spec, k).values, equal_nan=True)
+        assert np.array_equal(grid_selected(selection, other, np.float32).values,
+                              grids.values.astype(np.float32), equal_nan=True)
         assert len(grids) == len(other.snapshots)
         for grid, snap in zip(grids, other.snapshots):
             ref = idw_interpolate(snap, spec, k)
