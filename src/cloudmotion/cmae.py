@@ -177,12 +177,10 @@ def accumulate_cmae(
 def _chunk_sums(stack: np.ndarray) -> np.ndarray:
     """(chunks, ny, nx) float64 sums of _CHUNK_PAIRS consecutive pairs.
 
-    The last chunk may hold fewer pairs.  Whole chunks are summed from a
-    reshaped view of the stack, so no padded copy of it is made.
+    The last chunk may hold fewer pairs; no padded copy of the stack is made.
     """
-    whole = stack.shape[0] - stack.shape[0] % _CHUNK_PAIRS
-    chunks = [stack[:whole].reshape(-1, _CHUNK_PAIRS, *stack.shape[1:]), stack[None, whole:]]
-    return np.concatenate([c.sum(axis=1, dtype=np.float64) for c in chunks if c.shape[1]])
+    return np.stack([stack[p:p + _CHUNK_PAIRS].sum(axis=0, dtype=np.float64)
+                     for p in range(0, len(stack), _CHUNK_PAIRS)])
 
 
 def _box_sums(chunks: np.ndarray) -> np.ndarray:

@@ -174,15 +174,18 @@ def _simulate_block(pr: float, draws: range) -> tuple:
         for dmin in cfg.dmin_list:
             spec = GridSpec(cfg.bounds, dmin)
             t0 = time.perf_counter()
-            # both branches select, then apply, and give the search a float32 block with no float64
-            # one beside it; one draw calls grid_series, which perfbench --trace and CI's counts read
+            # both branches select, then apply; a block of one calls grid_series
+            # because perfbench --trace wraps it and CI's traced counts read it
             if len(draws) == 1:
                 grids = grid_series(series, spec, cfg.k_neighbors)
-                grids = replace(grids, values=grids.values.astype(np.float32))
             else:
                 if dmin not in selections:
                     selections[dmin] = select_neighbours(series.layout, spec, cfg.k_neighbors)
-                grids = grid_selected(selections[dmin], series, np.float32)
+                grids = grid_selected(selections[dmin], series)
+            # search_cmv reads float32 grids in place: casting here frees the
+            # float64 block before the search, whose working memory is a
+            # worker's peak, and outweighs the selection kept beside it
+            grids = replace(grids, values=grids.values.astype(np.float32))
             t1 = time.perf_counter()
             for ts in cfg.timestep_list:
                 try:

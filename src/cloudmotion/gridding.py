@@ -192,23 +192,21 @@ def select_neighbours(layout: SamplingLayout, spec: GridSpec, k_neighbors: int =
     return NeighbourSelection(layout, spec, rows)
 
 
-def grid_selected(selection: NeighbourSelection, series: MeasurementSeries,
-                  dtype: type = np.float64) -> GridSeries:
+def grid_selected(selection: NeighbourSelection, series: MeasurementSeries) -> GridSeries:
     """The GridSeries of a series of selection.layout, from that selection.
 
     The same operations in the same order as idw_interpolate: d2 as row
     term + column term, w = 1/sqrt(d2) summed slot by slot, vsum / wsum,
     and a sensor on a grid point (slot 0 at d2 == 0) taking its value.
-    Each instant is computed in float64 and stored in a block of dtype, so
-    float32 gives the float64 block's astype(float32) without holding it.
     """
     if series.layout is not selection.layout:
         raise ValueError("the series does not share the selection's sampling layout")
     layout, z, spec = series.layout, series.kstar, selection.spec
     ny, nx = spec.ny, spec.nx
     xs, ys = spec.axes()
-    gy, gx = np.repeat(ys, nx), np.tile(xs, ny)  # each grid point's coordinates
-    block = np.empty((len(layout.instants), ny, nx), dtype=dtype)
+    row_of, col_of = np.divmod(np.arange(ny * nx), nx)
+    gy, gx = ys[row_of], xs[col_of]  # each grid point's coordinates
+    block = np.empty((len(layout.instants), ny, nx))
     valid = np.zeros(len(block), dtype=bool)
     for i, rows in enumerate(selection.rows):
         if rows is None:

@@ -346,8 +346,6 @@ def _assert_selection_matches_reference(series, spec, k, columns):
         other = MeasurementSeries(series.layout, np.asarray(kstar, dtype=np.float64), series.truth)
         grids = grid_selected(selection, other)
         assert np.array_equal(grids.values, grid_series(other, spec, k).values, equal_nan=True)
-        assert np.array_equal(grid_selected(selection, other, np.float32).values,
-                              grids.values.astype(np.float32), equal_nan=True)
         assert len(grids) == len(other.snapshots)
         for grid, snap in zip(grids, other.snapshots):
             ref = idw_interpolate(snap, spec, k)
