@@ -6,9 +6,9 @@ accumulated over the whole observation window.  The three displacements
 with the lowest cumulative error, inverse-error weighted, give a sub-cell
 velocity and direction estimate.  accumulate_cmae computes the whole error
 surface; search_cmv reaches the same estimate while most candidates get
-only cheap lower bounds.  Both read a gridding.GridSeries' block as
-float32: in place when it already is (campaigns hand over float32 blocks),
-else from one copy per search.  Neither writes into the block.
+only cheap lower bounds.  Both read a gridding.GridSeries' float32 block
+in place, as gridding writes it; a hand-built float64 block is copied to
+float32 once per search.  Neither writes into the block.
 
 search_cmv is exact successive elimination over a three-level pyramid
 of lower bounds, each tighter and dearer than the last: the pooled bound
@@ -117,8 +117,8 @@ def _search_space(series: GridSeries, timestep_s, dmin, v_cap) -> tuple:
     """(a_stack, b_stack, candidates, overlap cells per candidate).
 
     The stacks are float32 (pairs, ny, nx) arrays of every (t, t +
-    timestep_s) pair, read from the series' block as float32 (no copy when
-    it already is): two views of it when every pair is valid.  Pairs
+    timestep_s) pair, read in place from a gridded float32 block (a float64
+    one is copied): two views of it when every pair is valid.  Pairs
     touching an invalid snapshot are skipped for all displacements, keeping
     the candidate CMAEs comparable.  The search only reads the stacks.
     """

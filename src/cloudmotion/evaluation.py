@@ -7,13 +7,14 @@ keep every simulation because a single outlier can dominate the RMSE.
 
 A task is one penetration rate over a block of consecutive truth draws.
 The draws of a pr sample the same vehicle rows and differ in k* only, so a
-block grids them all from one neighbour selection per dmin.
+block grids them all from one neighbour selection per dmin.  Gridding
+writes the float32 blocks that the search reads in place.
 """
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -182,10 +183,6 @@ def _simulate_block(pr: float, draws: range) -> tuple:
                 if dmin not in selections:
                     selections[dmin] = select_neighbours(series.layout, spec, cfg.k_neighbors)
                 grids = grid_selected(selections[dmin], series)
-            # search_cmv reads float32 grids in place: casting here frees the
-            # float64 block before the search, whose working memory is a
-            # worker's peak, and outweighs the selection kept beside it
-            grids = replace(grids, values=grids.values.astype(np.float32))
             t1 = time.perf_counter()
             for ts in cfg.timestep_list:
                 try:

@@ -7,7 +7,7 @@ fewer than k sensors are marked invalid instead of being interpolated from
 a thinner neighborhood.
 
 idw_interpolate is the exhaustive reference: every sensor's distance to
-every grid point.  grid_series gives the same bits from fewer distances
+every grid point.  grid_series computes the same bits from fewer distances
 (box-bound pruning, Friedman, Bentley & Finkel, ACM TOMS 1977, on tiles of
 the lattice).  It splits the lattice into _TILE x _TILE point tiles and
 bounds each sensor's squared distance to a tile's points from below by its
@@ -27,7 +27,8 @@ select_neighbours selects for every instant of a SamplingLayout, and
 grid_selected grids any series of that layout from the selection;
 grid_series is the two for one series.  The application recomputes d2
 from the rows' x and y and weighs them in idw_interpolate's order, so it
-gives idw_interpolate's bits.
+gives idw_interpolate's values, stored as float32: the one precision of a
+GridSeries, and the one both searches read.
 """
 from __future__ import annotations
 
@@ -77,7 +78,10 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridSnapshot:
-    """IDW-gridded counterpart of one SensorSnapshot; (ny, nx) values."""
+    """IDW-gridded counterpart of one SensorSnapshot; (ny, nx) values.
+
+    They are float64 from idw_interpolate and float32 views from a GridSeries.
+    """
 
     t: int
     values: np.ndarray
@@ -94,7 +98,7 @@ class GridSeries:
     """
 
     instants: range
-    values: np.ndarray  # (T, ny, nx), float64 as gridded
+    values: np.ndarray  # (T, ny, nx) float32
     valid: np.ndarray  # (T,) bool
 
     def __len__(self) -> int:
@@ -193,51 +197,53 @@ def select_neighbours(layout: SamplingLayout, spec: GridSpec, k_neighbors: int =
 
 
 def grid_selected(selection: NeighbourSelection, series: MeasurementSeries) -> GridSeries:
-    """The GridSeries of a series of selection.layout, from that selection.
+    """The GridSeries of a series of selection.layout: _idw_selected's values as float32."""
+    if series.layout is not selection.layout:
+        raise ValueError("the series does not share the selection's sampling layout")
+    layout, spec = series.layout, selection.spec
+    ny, nx = spec.ny, spec.nx
+    xs, ys = spec.axes()
+    row_of, col_of = np.divmod(np.arange(ny * nx), nx)
+    gy, gx = ys[row_of], xs[col_of]  # each grid point's coordinates
+    block = np.full((len(layout.instants), ny, nx), np.nan, dtype=np.float32)
+    valid = np.array([rows is not None for rows in selection.rows], dtype=bool)
+    for i in np.flatnonzero(valid):
+        block[i] = _idw_selected(series, i, selection.rows[i], gx, gy).reshape(ny, nx)
+    return GridSeries(layout.instants, block, valid)
+
+
+def _idw_selected(series: MeasurementSeries, i: int, rows, gx, gy) -> np.ndarray:
+    """Instant i's float64 values at the flat grid points (gx, gy), from its selected rows.
 
     The same operations in the same order as idw_interpolate: d2 as row
     term + column term, w = 1/sqrt(d2) summed slot by slot, vsum / wsum,
     and a sensor on a grid point (slot 0 at d2 == 0) taking its value.
     """
-    if series.layout is not selection.layout:
-        raise ValueError("the series does not share the selection's sampling layout")
-    layout, z, spec = series.layout, series.kstar, selection.spec
-    ny, nx = spec.ny, spec.nx
-    xs, ys = spec.axes()
-    row_of, col_of = np.divmod(np.arange(ny * nx), nx)
-    gy, gx = ys[row_of], xs[col_of]  # each grid point's coordinates
-    block = np.empty((len(layout.instants), ny, nx))
-    valid = np.zeros(len(block), dtype=bool)
-    for i, rows in enumerate(selection.rows):
-        if rows is None:
-            block[i] = np.nan
-            continue
-        valid[i] = True
-        rows = np.add(rows, layout.cuts[i], dtype=np.intp)  # (slot, point): layout rows
-        ry = np.subtract(gy, layout.y[rows])
-        d2 = np.square(ry, out=ry)
-        cx = np.subtract(gx, layout.x[rows])
-        d2 += np.square(cx, out=cx)
-        zk = z[rows]
-        values = block[i].reshape(-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.divide(1.0, np.sqrt(d2, out=cx), out=cx)
-            wz = np.multiply(w, zk, out=zk)
-            wsum, vsum = np.zeros(ny * nx), np.zeros(ny * nx)
-            for slot in range(len(rows)):  # nearest first
-                wsum += w[slot]
-                vsum += wz[slot]
-            np.divide(vsum, wsum, out=values)
-        coincident = d2[0] == 0.0
-        values[coincident] = z[rows[0][coincident]]
-    return GridSeries(layout.instants, block, valid)
+    layout, z = series.layout, series.kstar
+    rows = np.add(rows, layout.cuts[i], dtype=np.intp)  # (slot, point): layout rows
+    ry = np.subtract(gy, layout.y[rows])
+    d2 = np.square(ry, out=ry)
+    cx = np.subtract(gx, layout.x[rows])
+    d2 += np.square(cx, out=cx)
+    zk = z[rows]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.divide(1.0, np.sqrt(d2, out=cx), out=cx)
+        wz = np.multiply(w, zk, out=zk)
+        wsum, vsum = np.zeros(len(gx)), np.zeros(len(gx))
+        for slot in range(len(rows)):  # nearest first
+            wsum += w[slot]
+            vsum += wz[slot]
+        values = vsum / wsum
+    coincident = d2[0] == 0.0
+    values[coincident] = z[rows[0][coincident]]
+    return values
 
 
 def grid_series(series: MeasurementSeries, spec: GridSpec, k_neighbors: int = 3) -> GridSeries:
     """The grids of every sampling instant, invalid ones kept in place as NaN.
 
-    One selection for the series' layout, applied to its k* column: bit for
-    bit what idw_interpolate gives per snapshot.
+    One selection for the series' layout, applied to its k* column: what
+    idw_interpolate gives per snapshot, rounded to float32.
     """
     return grid_selected(select_neighbours(series.layout, spec, k_neighbors), series)
 

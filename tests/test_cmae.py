@@ -16,8 +16,13 @@ from cloudmotion.cmae import (
     estimate_cmv,
     search_cmv,
 )
-from cloudmotion.gridding import GridSnapshot
-from helpers import grid_block, translation_grids
+from cloudmotion.fleet import SensorSnapshot, ShadowMask, subsample_by_penetration
+from cloudmotion.fractal_field import auto_pixel_size, make_clearsky_field, required_field_side
+from cloudmotion.geometry import Rect
+from cloudmotion.gridding import GridSnapshot, GridSpec, grid_series
+from cloudmotion.synth import random_walk_fleet
+from cloudmotion.transit import MotionTruth, TransitConfig, draw_truth, run_transit
+from helpers import grid_block, series_from_snapshots, translation_grids
 
 
 def _grid(values, t=0, valid=True):
@@ -613,10 +618,15 @@ def test_search_space_views_one_block_when_every_pair_is_valid():
     assert not np.shares_memory(a_stack, b_stack)
     assert np.array_equal(a_stack, grids.values[pairs].astype(np.float32))
     assert np.array_equal(b_stack, grids.values[[k + 2 for k in pairs]].astype(np.float32))
-    # a float32 block, as campaign tasks hand over, is read in place
-    single = replace(grids, values=grids.values.astype(np.float32))
-    a_stack, b_stack, _, _ = cmae_mod._search_space(single, 20, 10.0, 40.0)
-    assert np.shares_memory(a_stack, single.values) and np.shares_memory(b_stack, single.values)
+    # grid_series grids into float32, and the search reads its block in place
+    rng = np.random.default_rng(26)
+    rows = rng.uniform((0.0, 0.0, 0.09), (90.0, 80.0, 1.2), (12, 6, 3))
+    snaps = [SensorSnapshot(t=10 * k, sensors=sensors) for k, sensors in enumerate(rows)]
+    series = series_from_snapshots(snaps, MotionTruth(1.0, 0.0), sampling_period_s=10)
+    gridded = grid_series(series, GridSpec(Rect(0.0, 0.0, 90.0, 80.0), 10.0), 3)
+    assert gridded.values.dtype == np.float32 and gridded.valid.all()
+    a_stack, b_stack, _, _ = cmae_mod._search_space(gridded, 20, 10.0, 40.0)
+    assert np.shares_memory(a_stack, gridded.values) and np.shares_memory(b_stack, gridded.values)
 
 
 def test_search_reads_a_read_only_float32_block_without_writing():
@@ -648,6 +658,37 @@ def test_pruned_search_fewer_than_three_candidates():
     est = _assert_pruned_matches_exhaustive(grids, 1, 100.0, 40.0)
     assert est.n_candidates == 1
     assert [d[:2] for d in est.top3] == [(0, 0)]
+
+
+@pytest.fixture(scope="module")
+def desk_transits():
+    """60 s criterion-3 transits sampled every 5 s: at pr 0.4 in the open,
+    and at pr 0.2 under a building mask that leaves two instants with fewer
+    than 3 sensors."""
+    bounds = Rect(0.0, 0.0, 600.0, 900.0)
+    pixel = auto_pixel_size(2048, required_field_side(60, 30.0, bounds.diagonal))
+    field = make_clearsky_field(2048, 1.5, seed=7, pixel_size_m=pixel)
+    fleet = random_walk_fleet(100, bounds, 60, seed=42)
+    mask = ShadowMask(mask=np.random.default_rng(0).random((9, 6)) < 0.75,
+                      origin=(0.0, 0.0), pixel_size_m=100.0)
+    cfg = TransitConfig(duration_s=60, sampling_period_s=5, seed=3)
+    series = {"open": run_transit(field, subsample_by_penetration(fleet, 0.4, 0), None,
+                                  draw_truth(3), cfg),
+              "masked": run_transit(field, subsample_by_penetration(fleet, 0.2, 0), mask,
+                                    draw_truth(3), cfg)}
+    return bounds, series
+
+
+@pytest.mark.parametrize("dmin, transit",
+                         [(5.0, "open"), (10.0, "open"), (20.0, "open"), (10.0, "masked")])
+def test_pruned_search_matches_exhaustive_on_gridded_desk_transits(desk_transits, dmin, transit):
+    # a timestep of dmin seconds keeps the speed cap at 40 cells per step,
+    # criterion 3's 5025 candidates where the grid holds them; the masked
+    # transit's invalid instants make the search gather its stacks
+    bounds, series = desk_transits
+    grids = grid_series(series[transit], GridSpec(bounds, dmin), 3)
+    assert grids.valid.all() == (transit == "open")
+    _assert_pruned_matches_exhaustive(grids, int(dmin), dmin, 40.0)
 
 
 # -------------------------------------------------------------- estimation

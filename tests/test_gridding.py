@@ -13,6 +13,7 @@ from cloudmotion.gridding import (
     GridSeries,
     GridSnapshot,
     GridSpec,
+    _idw_selected,
     grid_selected,
     grid_series,
     idw_interpolate,
@@ -274,13 +275,27 @@ def test_grid_series_all_empty_all_invalid():
 
 # ------------------------------------------- grid_series against the reference
 
-def _assert_matches_reference(series, spec, k):
-    grids = grid_series(series, spec, k)
+def _assert_block_matches_reference(grids, selection, series, spec, k):
+    """grids, gridded from selection, against idw_interpolate per snapshot:
+    _idw_selected gives its float64 values bit for bit, and the float32
+    block holds them rounded, NaN rows included."""
+    assert grids.values.dtype == np.float32
     assert len(grids) == len(series.snapshots)
-    for grid, snap in zip(grids, series.snapshots):
+    gx, gy = _points(spec)
+    for i, (grid, snap) in enumerate(zip(grids, series.snapshots)):
         ref = idw_interpolate(snap, spec, k)
         assert (grid.t, grid.valid) == (ref.t, ref.valid)
-        assert np.array_equal(grid.values, ref.values, equal_nan=True)
+        assert (selection.rows[i] is not None) == ref.valid
+        if ref.valid:
+            values = _idw_selected(series, i, selection.rows[i], gx, gy)
+            assert values.dtype == np.float64
+            assert np.array_equal(values.reshape(spec.ny, spec.nx), ref.values, equal_nan=True)
+        assert np.array_equal(grid.values, ref.values.astype(np.float32), equal_nan=True)
+
+
+def _assert_matches_reference(series, spec, k):
+    selection = select_neighbours(series.layout, spec, k)
+    _assert_block_matches_reference(grid_series(series, spec, k), selection, series, spec, k)
 
 
 @st.composite
@@ -340,17 +355,13 @@ def test_grid_series_more_than_255_candidates():
 
 def _assert_selection_matches_reference(series, spec, k, columns):
     """Grids of each k* column from one selection of series.layout equal
-    idw_interpolate per snapshot and grid_series, bit for bit."""
+    grid_series and, as _assert_block_matches_reference checks, idw_interpolate."""
     selection = select_neighbours(series.layout, spec, k)
     for kstar in columns:
         other = MeasurementSeries(series.layout, np.asarray(kstar, dtype=np.float64), series.truth)
         grids = grid_selected(selection, other)
         assert np.array_equal(grids.values, grid_series(other, spec, k).values, equal_nan=True)
-        assert len(grids) == len(other.snapshots)
-        for grid, snap in zip(grids, other.snapshots):
-            ref = idw_interpolate(snap, spec, k)
-            assert (grid.t, grid.valid) == (ref.t, ref.valid)
-            assert np.array_equal(grid.values, ref.values, equal_nan=True)
+        _assert_block_matches_reference(grids, selection, other, spec, k)
     return selection
 
 
@@ -472,3 +483,18 @@ def test_grid_series_peak_memory_below_reference(desk_series):
             tracemalloc.stop()
     reference, tiled = peaks
     assert tiled < reference
+
+
+def test_grid_selected_holds_no_block_beside_the_float32_one(desk_series):
+    # each instant is computed in float64 and stored rounded into the one
+    # float32 block: no float64 block of the series is ever held
+    series, spec = desk_series
+    selection = select_neighbours(series[1.0].layout, spec, 3)
+    tracemalloc.start()
+    try:
+        grids = grid_selected(selection, series[1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grids.values.dtype == np.float32 and grids.values.shape == (301, spec.ny, spec.nx)
+    assert peak < 1.25 * grids.values.nbytes
