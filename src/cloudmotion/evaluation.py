@@ -72,6 +72,8 @@ class CampaignConfig:
             raise ValueError("n_simulations must be >= 1")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
+        if self.min_variability_s < 0:
+            raise ValueError(f"min_variability_s must be >= 0, got {self.min_variability_s}")
         for name in ("dmin_list", "timestep_list", "pr_list"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must not be empty")

@@ -70,7 +70,9 @@ class SamplingLayout:
     instants and off shadowed mask pixels, sorted by (t, vehicle_id); rows
     cuts[i]:cuts[i + 1] belong to the i-th sampling instant.  A
     transit.MeasurementSeries adds one k* column parallel to the rows.
-    row_text is transit.export_series' memo of the rows' t,x,y text.
+    row_text is transit.export_series' memo of the rows' t,x,y text;
+    vehicle_codes and previous_rows are built on first use and kept, so
+    every series of the layout shares them.
     """
 
     duration_s: int
@@ -83,6 +85,7 @@ class SamplingLayout:
     cuts: list
     row_text: Optional[list] = field(default=None, repr=False)
     _codes: Optional[np.ndarray] = field(default=None, repr=False)
+    _previous: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def vehicle_codes(self) -> np.ndarray:
@@ -90,6 +93,26 @@ class SamplingLayout:
         if self._codes is None:
             self._codes = np.unique(self.vehicle_ids, return_inverse=True)[1]
         return self._codes
+
+    @property
+    def previous_rows(self) -> np.ndarray:
+        """Each row's same-vehicle row one instant earlier, or -1 where there is none.
+
+        Rows are matched by (instant, vehicle code) key; the argsort is
+        stable because a hand-built layout need not be sorted by id, and of
+        repeated ids in one instant the first row is taken.
+        """
+        if self._previous is None:
+            codes = self.vehicle_codes
+            snap = np.repeat(np.arange(len(self.cuts) - 1), np.diff(self.cuts))
+            n_codes = int(codes.max(initial=0)) + 1
+            key = snap * n_codes + codes
+            order = np.argsort(key, kind="stable")
+            wanted = key - n_codes
+            at = np.minimum(np.searchsorted(key[order], wanted), max(len(key) - 1, 0))
+            before = order[at]
+            self._previous = np.where(key[before] == wanted, before, -1)
+        return self._previous
 
     @property
     def instants(self) -> range:

@@ -6,13 +6,14 @@ transition band into a cloud index n in [-0.2, 1.2], mapped through an
 empirical piecewise relation to clear-sky indices k* in [0.09, 1.2] and
 stored as 8-bit levels.
 
-The field is built in one (n+1)^2 float32 grid plus its uint8 levels:
-the recursion works in place, the median needs no copy, and the steps
-after it run on blocks of _BLOCK_ROWS rows, in float only inside the
-transition band.  Measured with numpy 2.4: at 1024 px the tracemalloc peak
-is 1.6x a float32 raster's bytes (2.5x with every pixel in float, 10.8x
-with full-raster steps); a 4096 px field peaks at 122 MB RSS in a fresh
-process (138, 224 and 727 MB before).
+The field is built in one (n+1)^2 float32 grid plus the recursion's
+scratch, which then holds the uint8 levels: the recursion works in place,
+the median needs no copy, and the steps after it run on blocks of
+_BLOCK_ROWS rows, in float only inside the transition band.  Measured with
+numpy 2.4: at 1024 px the tracemalloc peak is 1.6x a float32 raster's
+bytes (2.5x with every pixel in float, 10.8x with full-raster steps); a
+4096 px field peaks at 123.5 MB RSS in a fresh process (122 MB with a new
+level raster; 138, 224 and 727 MB before).
 """
 from __future__ import annotations
 
@@ -92,6 +93,12 @@ def generate_fractal(side_px: int, fractal_dimension: float, seed: int) -> np.nd
     per subdivision level.  Output is reproducible bit for bit for a fixed
     (side_px, fractal_dimension, seed).
     """
+    return _diamond_square(side_px, fractal_dimension, seed)[0]
+
+
+def _diamond_square(side_px: int, fractal_dimension: float, seed: int) -> tuple:
+    """generate_fractal's surface and the float32 scratch of its recursion,
+    which holds at least side_px**2 bytes."""
     k = _admissible_grid_exponent(side_px)
     if not 1.0 < fractal_dimension < 2.0:
         raise ValueError(f"fractal_dimension must be in (1, 2), got {fractal_dimension}")
@@ -105,8 +112,9 @@ def generate_fractal(side_px: int, fractal_dimension: float, seed: int) -> np.nd
     grid[::n, ::n] = rng.standard_normal((2, 2), dtype=np.float32)
     # Scratch for the largest step, (n/2) x (n/2 + 1): means are summed here
     # (numpy copies inputs that may overlap a view of the same grid as
-    # output), stored, and the buffer then takes the displacements.
-    buf = np.empty((n // 2) * (n // 2 + 1), dtype=np.float32)
+    # output), stored, and the buffer then takes the displacements.  One
+    # float more makes its n^2 + 2n + 4 bytes hold (n + 1)^2 uint8 levels.
+    buf = np.empty((n // 2) * (n // 2 + 1) + 1, dtype=np.float32)
 
     def set_displaced(cells, mean):
         cells[...] = mean
@@ -145,16 +153,15 @@ def generate_fractal(side_px: int, fractal_dimension: float, seed: int) -> np.nd
 
         step = half
 
-    return grid[:side_px, :side_px]
+    return grid[:side_px, :side_px], buf
 
 
-def _map_rows(src: np.ndarray, fn, dtype) -> np.ndarray:
-    """fn applied block of rows by block of rows, written into one array.
+def _map_rows(src: np.ndarray, fn, out: np.ndarray) -> np.ndarray:
+    """fn applied block of rows by block of rows, written into out and returned.
 
     Bit-identical to fn(src) for any elementwise fn, with float64
     temporaries the size of one block instead of the whole raster.
     """
-    out = np.empty(src.shape, dtype=dtype)
     for r0 in range(0, src.shape[0], _BLOCK_ROWS):
         out[r0 : r0 + _BLOCK_ROWS] = fn(src[r0 : r0 + _BLOCK_ROWS])
     return out
@@ -274,7 +281,7 @@ def make_clearsky_field(
     """
     if not 0 < pixel_size_m < np.inf:
         raise ValueError("pixel_size_m must be positive and finite")
-    surf = generate_fractal(side_px, fractal_dimension, seed)
+    surf, scratch = _diamond_square(side_px, fractal_dimension, seed)
     t = _median_threshold(surf, transition_halfwidth)
 
     def rows(v):
@@ -290,4 +297,8 @@ def make_clearsky_field(
         out[inside] = rows(v[inside])
         return out
 
-    return ClearSkyField(levels=_map_rows(surf, band_rows, np.uint8), pixel_size_m=pixel_size_m)
+    # the levels take the recursion's scratch, not a new raster allocated as
+    # the scratch is freed: with a new one, the peak RSS of three 4096 px
+    # builds in one process read about 129 or 145 MB, by heap layout
+    levels = scratch.view(np.uint8)[: side_px * side_px].reshape(side_px, side_px)
+    return ClearSkyField(levels=_map_rows(surf, band_rows, levels), pixel_size_m=pixel_size_m)

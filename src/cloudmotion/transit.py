@@ -6,7 +6,10 @@ vehicle records are active at the sampling instants does not depend on the
 truth draw, so the dataset keeps them as a SamplingLayout that every series
 of the same duration, sampling period and mask shares.  One lookup pass
 reads the field at all of its rows, nearest pixel: a measurement series is
-that layout plus one k* column.
+that layout plus one k* column.  The layout also keeps what validity and
+export need of it, each vehicle's row one instant earlier and the rows'
+t,x,y text, so a series pays only for its k*: the modal central values
+and the k* text, indexed into a table of the 256 levels by arithmetic.
 """
 from __future__ import annotations
 
@@ -183,25 +186,21 @@ def is_valid_event(
     same vehicle's sample one period earlier, or -- for vehicles without
     one -- differs by more than 1e-6 from the instant's modal central value.
     Qualifying instants need not be contiguous; the event is valid when they
-    span more than min_variability_s, i.e. (count - 1) * period exceeds it.
-    The modal value's ties go to the larger (clearer) one.
+    span more than min_variability_s, i.e. (count - 1) * period exceeds it;
+    a negative min_variability_s raises ValueError.  The modal value's ties
+    go to the larger (clearer) one.  Each row's same-vehicle row comes from
+    the layout's previous_rows, built once for all bounds and series.
     """
+    if min_variability_s < 0:
+        raise ValueError(f"min_variability_s must be >= 0, got {min_variability_s}")
     layout, k, cuts = series.layout, series.kstar, series.layout.cuts
     if len(cuts) < 2:
         raise ValueError("empty measurement series")
-    x, y, codes = layout.x, layout.y, layout.vehicle_codes
-    snap = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+    x, y = layout.x, layout.y
     c = bounds.central_ninth()
-    central = (c.x0 <= x) & (x < c.x1) & (c.y0 <= y) & (y < c.y1)
-    snap_c, k_c = snap[central], k[central]
-    # the same vehicle one snapshot earlier, found by (snapshot, vehicle) key
-    n_codes = int(codes.max(initial=0)) + 1
-    key = snap * n_codes + codes
-    order = np.argsort(key, kind="stable")
-    wanted = key[central] - n_codes
-    at = np.minimum(np.searchsorted(key[order], wanted), max(len(key) - 1, 0))
-    before = order[at]
-    has_before = key[before] == wanted
+    rows = np.flatnonzero((c.x0 <= x) & (x < c.x1) & (c.y0 <= y) & (y < c.y1))
+    snap_c, k_c = np.searchsorted(cuts, rows, side="right") - 1, k[rows]
+    before = layout.previous_rows[rows]
     # the modal central k* per snapshot: runs of equal (snapshot, value) in
     # value order, stably sorted by count, so the last of a snapshot wins
     values, value_code = np.unique(k_c, return_inverse=True)
@@ -213,15 +212,22 @@ def is_valid_event(
     top[:-1] = run_s[1:] != run_s[:-1]
     mode = np.empty(len(cuts) - 1)
     mode[run_s[top]] = values[runs[top] % n_values]
-    reference = np.where(has_before, k[before], mode[snap_c])
+    reference = np.where(before >= 0, k[before], mode[snap_c])
     qualifying = np.unique(snap_c[np.abs(k_c - reference) > 1e-6]).size
     return (qualifying - 1) * series.sampling_period_s > min_variability_s
 
 
 def _kstar_text(kstar: np.ndarray) -> list:
-    """The "%.6f" k* text that ends each exported row, newline included:
-    looked up for the 256 level values, bit for bit, formatted for others."""
-    i = np.minimum(np.searchsorted(_KSTAR_F64, kstar), len(_KSTAR_F64) - 1)
+    """The "%.6f" k* text that ends each exported row, newline included.
+
+    The levels are evenly spaced, so the nearest level's index is level
+    arithmetic, clamped to 0..255 (NaN and +-inf included) before the cast.
+    Rows whose k* equals that level bit for bit take its table text; the
+    others are formatted.
+    """
+    lo, hi = _KSTAR_F64[0], _KSTAR_F64[-1]
+    i = np.rint((kstar - lo) * (255 / (hi - lo)))
+    i = np.fmax(np.fmin(i, 255), 0).astype(np.intp)
     text = _KSTAR_TEXT[i]
     other = _KSTAR_F64[i].view(np.int64) != kstar.view(np.int64)
     if other.any():

@@ -111,13 +111,14 @@ def test_campaign_validates_parameters(override):
         ({"duration_s": 0}, "duration and sampling period must be positive"),
         ({"duration_s": DURATION + 10}, f"dataset covers {DURATION} s but the transit needs"),
         ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
+        ({"min_variability_s": -1}, "min_variability_s must be >= 0, got -1"),
         ({"mask": ShadowMask(np.zeros((2, 2), dtype=bool), (0.0, 0.0), 100.0)},
          "shadow mask does not cover the observation bounds"),
         ({"pr_list": ()}, "pr_list must not be empty"),
         ({"dmin_list": ()}, "dmin_list must not be empty"),
         ({"timestep_list": ()}, "timestep_list must not be empty"),
     ],
-    ids=["pr-0", "pr-above-1", "pr-nan", "duration-0", "duration-past-fleet", "seed-neg",
+    ids=["pr-0", "pr-above-1", "pr-nan", "duration-0", "duration-past-fleet", "seed-neg", "variability-neg",
          "mask-short-of-bounds", "pr-empty", "dmin-empty", "timestep-empty"],
 )
 def test_campaign_checks_sweep_and_scenario(override, message):

@@ -56,19 +56,31 @@ class FloatClearSkyField:
 def to_cloud_index(surface, transition_halfwidth=0.15, pixel_size_m=1.0):
     """Threshold a surface at its median with a linear transition band."""
     t = _median_threshold(surface, transition_halfwidth)
-    n = _map_rows(surface, lambda v: _cloud_index_rows(v, t, transition_halfwidth), np.float32)
+    n = _map_rows(
+        surface,
+        lambda v: _cloud_index_rows(v, t, transition_halfwidth),
+        np.empty(surface.shape, np.float32),
+    )
     return CloudIndexField(n=n, side_px=surface.shape[0], pixel_size_m=pixel_size_m)
 
 
 def clearsky_field(cloud):
     """Apply the cloud-index -> clear-sky-index map to a whole raster."""
-    kstar = _map_rows(cloud.n, lambda n: cloud_to_clearsky(n).astype(np.float32), np.float32)
+    kstar = _map_rows(
+        cloud.n,
+        lambda n: cloud_to_clearsky(n).astype(np.float32),
+        np.empty(cloud.n.shape, np.float32),
+    )
     return FloatClearSkyField(kstar=kstar, side_px=cloud.side_px, pixel_size_m=cloud.pixel_size_m)
 
 
 def quantize_8bit(field):
     """Round-trip k* through 256 linear levels; idempotent, error <= half a step."""
-    kstar = _map_rows(field.kstar, lambda k: _LEVEL_KSTAR[kstar_to_levels(k)], np.float32)
+    kstar = _map_rows(
+        field.kstar,
+        lambda k: _LEVEL_KSTAR[kstar_to_levels(k)],
+        np.empty(field.kstar.shape, np.float32),
+    )
     return FloatClearSkyField(kstar=kstar, side_px=field.side_px, pixel_size_m=field.pixel_size_m)
 
 
@@ -455,7 +467,9 @@ def _around_half(specials, side=16):
 
 def _band_levels(monkeypatch, values, halfwidth):
     """make_clearsky_field's levels for a hand-built surface, checked against the float oracle."""
-    monkeypatch.setattr(fractal_field, "generate_fractal", lambda *args: values)
+    monkeypatch.setattr(
+        fractal_field, "_diamond_square", lambda *args: (values, np.empty(values.size, np.uint8))
+    )
     got = make_clearsky_field(values.shape[0], 1.5, 0, transition_halfwidth=halfwidth).levels
     want = kstar_to_levels(clearsky_field(to_cloud_index(values, halfwidth)).kstar)
     assert got.dtype == want.dtype == np.uint8

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import pickle
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from cloudmotion.fleet import (
     MaskCoverageError,
+    SamplingLayout,
     SensorSnapshot,
     ShadowMask,
     TrajectoryDataset,
@@ -23,6 +26,7 @@ from cloudmotion.transit import (
     MeasurementSeries,
     MotionTruth,
     TransitConfig,
+    _kstar_text,
     default_field_anchor,
     draw_truth,
     export_series,
@@ -402,6 +406,19 @@ def test_validity_monotone_in_requirement():
     assert verdicts == sorted(verdicts, reverse=True)
 
 
+def test_validity_rejects_negative_requirement():
+    # one constant sensor never qualifies, so (0 - 1) * period is its span;
+    # a requirement of -2 s or less used to pass it as a valid event
+    series = series_from_snapshots(
+        [_snapshot(t, [(300.0, 450.0, 0.5)]) for t in range(5)], MotionTruth(1.0, 0.0)
+    )
+    assert not is_valid_event(series, BOUNDS, 60)
+    assert not is_valid_event(series, BOUNDS, 0)
+    for m in (-1, -2, -100):
+        with pytest.raises(ValueError, match=f"min_variability_s must be >= 0, got {m}"):
+            is_valid_event(series, BOUNDS, m)
+
+
 def _is_valid_event_reference(series, bounds, min_variability_s):
     """The validity rule one sensor at a time, with dicts."""
     central = bounds.central_ninth()
@@ -537,6 +554,67 @@ def test_layout_kept_per_duration_period_and_mask_object():
         is not other.layout
 
 
+def test_validity_memo_serves_any_bounds():
+    # the same-vehicle rows are kept on the layout and do not depend on the
+    # bounds: alternating two areas on one layout keeps the per-sensor verdicts
+    cfg = TransitConfig(40, 1)
+    series = run_transit(_LAYOUT_FIELD, _LAYOUT_DS, None, draw_truth(11), cfg)
+    layout = series.layout
+    previous = layout.previous_rows
+    quarter = Rect(0.0, 0.0, 300.0, 450.0)
+    for bounds in (BOUNDS, quarter, BOUNDS, quarter):
+        for m in (0, 2, 10):
+            assert is_valid_event(series, bounds, m) == _is_valid_event_reference(series, bounds, m)
+    assert layout.previous_rows is previous
+    # the first row of each vehicle has no earlier row; every other row's
+    # earlier row is the same vehicle's, one instant before
+    ids, t = layout.vehicle_ids, layout.t
+    last = {}
+    for row, (vid, when) in enumerate(zip(ids.tolist(), t.tolist())):
+        want = last.get((vid, when - 1), -1)
+        assert previous[row] == want, (row, vid, when)
+        last[vid, when] = row
+
+
+def test_validity_memo_on_ids_out_of_code_order():
+    # ids get their codes in string order (v1 < v10 < v2); instants list
+    # them v10, v2, v1 or v2, v10 or shuffled, so the (instant, code) keys
+    # are unsorted and the memo's stable argsort has to match them
+    rng = np.random.default_rng(3)
+    c = BOUNDS.central_ninth()
+    snaps = []
+    for t in range(12):
+        ids = [f"v{i}" for i in rng.permutation([1, 2, 10, 11, 20])[: rng.integers(2, 6)]]
+        head = [["v10", "v2", "v1"], ["v2", "v10"], []][t % 3]
+        ids = head + [i for i in ids if i not in head]
+        rows = [(rng.uniform(c.x0, c.x1), rng.uniform(c.y0, c.y1), rng.choice([0.09, 1.2]))
+                for _ in ids]
+        snaps.append(_snapshot(t, rows, ids))
+    series = series_from_snapshots(snaps, MotionTruth(1.0, 0.0))
+    layout = series.layout
+    for a, b in zip(layout.cuts[:2], layout.cuts[1:3]):
+        assert np.any(np.diff(layout.vehicle_codes[a:b]) < 0)
+    for m in (0, 2, 5, 8):
+        assert is_valid_event(series, BOUNDS, m) == _is_valid_event_reference(series, BOUNDS, m)
+
+
+def test_layout_memos_stay_out_of_repr_and_pickles():
+    memos = ("row_text", "_codes", "_previous")
+    fields = dataclasses.fields(SamplingLayout)
+    assert tuple(f.name for f in fields[-3:]) == memos
+    assert not any(f.repr for f in fields[-3:])
+    field = _flat_field()
+    ds = _static_fleet([(300.0, 450.0), (250.0, 400.0)], 10)
+    series = run_transit(field, ds, None, MotionTruth(3.0, 10.0), TransitConfig(10, 1))
+    is_valid_event(series, BOUNDS, 0)
+    assert series.layout._previous is not None and "_previous" not in repr(series.layout)
+    # a pickled dataset starts without a layout, so without its memos
+    copy = pickle.loads(pickle.dumps(ds))
+    assert copy._layout is None
+    fresh = run_transit(field, copy, None, MotionTruth(3.0, 10.0), TransitConfig(10, 1)).layout
+    assert fresh is not series.layout and fresh._previous is None
+
+
 def test_layout_not_kept_on_mask_coverage_error():
     field = _flat_field()
     ds = _static_fleet([(100.0, 100.0), (500.0, 800.0)], 10)
@@ -555,6 +633,19 @@ def _snapshot(t, rows, ids=None):
 
 
 _OFF_TABLE = [0.1234565, 1e-7, -0.0, 1.2, float("nan"), float("inf"), -3.5]
+
+
+def test_kstar_text_is_percent_format_without_warnings():
+    # level values, their nearest neighbours either side, values off the
+    # table (NaN and +-inf among them) and wider text, with warnings raised
+    levels = _LEVEL_KSTAR.astype(np.float64)
+    wide = [10.0, 12.3456785, 1e300, -10.0, -123.4567894, -1e300, -np.inf]
+    kstar = np.concatenate([
+        levels, np.nextafter(levels, -np.inf), np.nextafter(levels, np.inf), _OFF_TABLE, wide,
+    ])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert _kstar_text(kstar) == ["%.6f\n" % k for k in kstar.tolist()]
 
 
 @pytest.mark.parametrize(
