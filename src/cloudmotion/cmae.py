@@ -312,6 +312,7 @@ def search_cmv(
                 break
             if blocks is None:
                 blocks = _block_sums(a_chunks), _block_sums(b_chunks)
+                a_chunks = b_chunks = None  # the block sums replace them
             counts["bounds_block"] += 1
             terms = _block_terms(*blocks, ny, nx, dx, dy)
             if terms.sum() / n > limit:

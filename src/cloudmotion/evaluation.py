@@ -6,9 +6,9 @@ cells are event-matched.  RMSEs aggregate valid events only; scatter rows
 keep every simulation because a single outlier can dominate the RMSE.
 
 A task is one penetration rate over a block of consecutive truth draws.
-The draws of a pr sample the same vehicle rows and differ in k* only, so a
-block grids them all from one neighbour selection per dmin.  Gridding
-writes the float32 blocks that the search reads in place.
+The draws of a pr share one sampling layout and differ in k* only, and
+the layout keeps its neighbour selection per dmin for every later draw.
+Gridding writes the float32 blocks that the search reads in place.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .cmae import accumulate_cmae, estimate_cmv  # noqa: F401
 from .fleet import ShadowMask, TrajectoryDataset, subsample_by_penetration
 from .fractal_field import ClearSkyField
 from .geometry import Rect
-from .gridding import GridSpec, grid_selected, grid_series, select_neighbours
+from .gridding import GridSpec, grid_series
 from .transit import SPEED_MAX_MPS, TransitConfig, draw_truth, is_valid_event, run_transit
 
 
@@ -137,27 +137,26 @@ class CampaignResult:
 
 
 # Worker state for process pools; populated by the initializer after fork so
-# the field and datasets are shipped once per worker, not once per task.
+# the field and dataset are shipped once per worker, not once per task.
 _STATE: dict = {}
 
 
-def _init_worker(cfg: CampaignConfig, ds_by_pr: dict) -> None:
+def _init_worker(cfg: CampaignConfig) -> None:
     _STATE["cfg"] = cfg
-    _STATE["ds_by_pr"] = ds_by_pr
 
 
 def _simulate_block(pr: float, draws: range) -> tuple:
     """One penetration rate over consecutive truth draws, in one task.
 
     Returns a TransitOutcome per draw and the task's wall seconds.  The
-    draws of a pr share their sampling layout, so a block of two or more
-    draws selects each dmin's neighbours once, from its first series, and
-    grids the others from that selection; a block of one calls grid_series.
+    task subsamples its own pr, so the subsample, its layout and the
+    neighbour selections that grid_series keeps on it for later draws live
+    as long as the task; at pr 1.0 the subsample is cfg.dataset, which
+    outlives it.
     """
     start = time.perf_counter()
     cfg: CampaignConfig = _STATE["cfg"]
-    ds = _STATE["ds_by_pr"][pr]
-    selections = {}  # dmin -> NeighbourSelection, dropped with the task
+    ds = subsample_by_penetration(cfg.dataset, pr, cfg.base_seed)
     outcomes = []
     for sim_index in draws:
         truth = draw_truth(cfg.base_seed + sim_index)
@@ -177,14 +176,7 @@ def _simulate_block(pr: float, draws: range) -> tuple:
         for dmin in cfg.dmin_list:
             spec = GridSpec(cfg.bounds, dmin)
             t0 = time.perf_counter()
-            # both branches select, then apply; a block of one calls grid_series
-            # because perfbench --trace wraps it and CI's traced counts read it
-            if len(draws) == 1:
-                grids = grid_series(series, spec, cfg.k_neighbors)
-            else:
-                if dmin not in selections:
-                    selections[dmin] = select_neighbours(series.layout, spec, cfg.k_neighbors)
-                grids = grid_selected(selections[dmin], series)
+            grids = grid_series(series, spec, cfg.k_neighbors)
             t1 = time.perf_counter()
             for ts in cfg.timestep_list:
                 try:
@@ -219,39 +211,36 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
     A task is one penetration rate over a block of consecutive truth draws;
     each pr gets ceil(jobs / prs) blocks.  Aggregation is an ordered
     reduction over simulation indices, so the result is independent of how
-    many worker processes, hence blocks, were used.
+    many worker processes, hence blocks, were used.  At jobs=1 the pr 1.0
+    neighbour selections (about 5 MB per dmin on the desk grid) stay on
+    cfg.dataset's layout, so the next campaign on it skips them.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    ds_by_pr = {
-        float(pr): subsample_by_penetration(cfg.dataset, pr, cfg.base_seed)
-        for pr in cfg.pr_list
-    }
-    blocks = _blocks(cfg.n_simulations, -(-jobs // len(ds_by_pr)))
-    tasks = [(pr, draws) for pr in ds_by_pr for draws in blocks]
+    prs = list(dict.fromkeys(float(pr) for pr in cfg.pr_list))
+    blocks = _blocks(cfg.n_simulations, -(-jobs // len(prs)))
+    tasks = [(pr, draws) for pr in prs for draws in blocks]
     if jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(cfg, ds_by_pr)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(cfg,)) as pool:
             # each task goes to the next free worker: prs and truth draws
             # take different times, so fixed shares could leave one idle
             done = list(pool.map(_simulate_block, *zip(*tasks), chunksize=1))
     else:
-        _init_worker(cfg, ds_by_pr)
+        _init_worker(cfg)
         try:
             done = [_simulate_block(pr, draws) for pr, draws in tasks]
         finally:
             _STATE.clear()  # the caller's process must not keep the campaign alive
 
     # back in draw order: per pr, the outcome of every simulation index
-    outcomes = {pr: [None] * cfg.n_simulations for pr in ds_by_pr}
+    outcomes = {pr: [None] * cfg.n_simulations for pr in prs}
     for (pr, draws), (block, _) in zip(tasks, done):
         outcomes[pr][draws.start:draws.stop] = block
     task_timings = tuple(
         {"pr": pr, "first_draw": draws.start, "draws": len(draws), "wall_s": wall}
         for (pr, draws), (_, wall) in zip(tasks, done)
     )
-    telemetry = {pr: {} for pr in ds_by_pr}
+    telemetry = {pr: {} for pr in prs}
     for pr, per_sim in outcomes.items():
         for oc in per_sim:
             telemetry[pr] = {k: telemetry[pr].get(k, 0) + v for k, v in oc.telemetry.items()}

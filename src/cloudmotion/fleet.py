@@ -70,9 +70,9 @@ class SamplingLayout:
     instants and off shadowed mask pixels, sorted by (t, vehicle_id); rows
     cuts[i]:cuts[i + 1] belong to the i-th sampling instant.  A
     transit.MeasurementSeries adds one k* column parallel to the rows.
-    row_text is transit.export_series' memo of the rows' t,x,y text;
-    vehicle_codes and previous_rows are built on first use and kept, so
-    every series of the layout shares them.
+    row_text and neighbour_rows are the memos of transit.export_series and
+    gridding.select_neighbours; vehicle_codes and previous_rows are built
+    on first use and kept, so every series of the layout shares them.
     """
 
     duration_s: int
@@ -84,6 +84,7 @@ class SamplingLayout:
     vehicle_ids: np.ndarray
     cuts: list
     row_text: Optional[list] = field(default=None, repr=False)
+    neighbour_rows: dict = field(default_factory=dict, repr=False)
     _codes: Optional[np.ndarray] = field(default=None, repr=False)
     _previous: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -173,8 +174,9 @@ class TrajectoryDataset:
 
         The layout of the last (duration_s, sampling_period_s, mask object)
         asked for is kept and returned again while those stay the same; the
-        table and the mask raster are read-only, so it cannot go stale.  A
-        record off the mask raster raises MaskCoverageError, and nothing is kept.
+        table, the mask raster and the layout's columns are read-only, so
+        neither it nor its memos can go stale.  A record off the mask raster
+        raises MaskCoverageError, and nothing is kept.
         """
         memo = self._layout
         if (
@@ -187,15 +189,13 @@ class TrajectoryDataset:
         recs = recs[(recs["t"] <= duration_s) & (recs["t"] % sampling_period_s == 0)]
         if mask is not None:
             recs = recs[~mask.is_shadowed(recs["x"], recs["y"])]
-        t = np.ascontiguousarray(recs["t"])
+        t, x, y, ids = (np.ascontiguousarray(recs[c]) for c in ("t", "x", "y", "vehicle_id"))
+        for column in (t, x, y, ids):
+            column.flags.writeable = False
         # every t is a sampling instant, and t is sorted
         cuts = np.searchsorted(t, range(0, duration_s + 1, sampling_period_s)).tolist()
         layout = SamplingLayout(
-            duration_s, sampling_period_s, mask,
-            t=t,
-            x=np.ascontiguousarray(recs["x"]),
-            y=np.ascontiguousarray(recs["y"]),
-            vehicle_ids=np.ascontiguousarray(recs["vehicle_id"]),
+            duration_s, sampling_period_s, mask, t=t, x=x, y=y, vehicle_ids=ids,
             cuts=cuts + [len(t)],
         )
         object.__setattr__(self, "_layout", layout)

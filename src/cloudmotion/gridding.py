@@ -23,12 +23,13 @@ and rounding is monotone, so they hold in floating point; limit gets a
 
 Which rows are a grid point's k nearest depends on the sensor positions
 only, so the selection is kept apart from its application to a k* column.
-select_neighbours selects for every instant of a SamplingLayout, and
-grid_selected grids any series of that layout from the selection;
-grid_series is the two for one series.  The application recomputes d2
-from the rows' x and y and weighs them in idw_interpolate's order, so it
-gives idw_interpolate's values, stored as float32: the one precision of a
-GridSeries, and the one both searches read.
+select_neighbours selects for every instant of a SamplingLayout, once
+per (GridSpec, k) as the layout keeps the rows, and grid_selected grids
+any series of that layout from the selection; grid_series is the two for
+one series.  The application recomputes d2 from the rows' x and y and
+weighs them in idw_interpolate's order, so it gives idw_interpolate's
+values, stored as float32: the one precision of a GridSeries, and the one
+both searches read.
 """
 from __future__ import annotations
 
@@ -175,9 +176,17 @@ class NeighbourSelection:
 
 
 def select_neighbours(layout: SamplingLayout, spec: GridSpec, k_neighbors: int = 3) -> NeighbourSelection:
-    """The k nearest rows of every grid point, for every instant of layout, by tiles."""
+    """The k nearest rows of every grid point, for every instant of layout, by tiles.
+
+    The first call per (spec, k) selects; layout.neighbour_rows keeps the
+    rows tuple, not the NeighbourSelection, which would point back at the
+    layout in a cycle that only the cyclic garbage collector frees.
+    """
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
+    key = (spec, k_neighbors)
+    if key in layout.neighbour_rows:
+        return NeighbourSelection(layout, spec, layout.neighbour_rows[key])
     ny, nx = spec.ny, spec.nx
     nty, ntx = -(-ny // _TILE), -(-nx // _TILE)
     # The lattice padded past the bounds to whole tiles, by the same
@@ -193,6 +202,7 @@ def select_neighbours(layout: SamplingLayout, spec: GridSpec, k_neighbors: int =
     x, y, cuts = layout.x, layout.y, layout.cuts
     rows = tuple(_select(x[a:b], y[a:b], tiles, k_neighbors) if b - a >= k_neighbors else None
                  for a, b in zip(cuts, cuts[1:]))
+    layout.neighbour_rows[key] = rows
     return NeighbourSelection(layout, spec, rows)
 
 
@@ -242,7 +252,7 @@ def _idw_selected(series: MeasurementSeries, i: int, rows, gx, gy) -> np.ndarray
 def grid_series(series: MeasurementSeries, spec: GridSpec, k_neighbors: int = 3) -> GridSeries:
     """The grids of every sampling instant, invalid ones kept in place as NaN.
 
-    One selection for the series' layout, applied to its k* column: what
+    The selection of the series' layout, applied to its k* column: what
     idw_interpolate gives per snapshot, rounded to float32.
     """
     return grid_selected(select_neighbours(series.layout, spec, k_neighbors), series)

@@ -1,9 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import cloudmotion.evaluation as evaluation
+from cloudmotion import gridding
 from cloudmotion.evaluation import (
     CampaignConfig,
     UndefinedStatisticError,
@@ -212,6 +216,43 @@ def test_serial_campaign_releases_its_state(monkeypatch):
     with pytest.raises(RuntimeError):
         run_campaign(cfg, jobs=1)
     assert evaluation._STATE == {}
+
+
+def test_full_fleet_selection_kept_across_campaigns(monkeypatch):
+    # at pr 1.0 every task grids from the caller's dataset's layout, so a
+    # second campaign on it selects no neighbours and gives the same results
+    calls = []
+    select = gridding._select
+    monkeypatch.setattr(gridding, "_select", lambda *args: calls.append(args) or select(*args))
+    cfg = _small_config(n_simulations=2)
+    first = run_campaign(cfg, jobs=1)
+    selected = len(calls)
+    assert selected > 0
+    second = run_campaign(cfg, jobs=1)
+    assert len(calls) == selected
+    assert second.cells == first.cells
+    counters = [{k: v for k, v in r.telemetry[1.0].items() if not k.endswith("_s")}
+                for r in (first, second)]
+    assert counters[0] == counters[1]
+
+
+def test_subsample_layout_freed_with_its_task(monkeypatch):
+    # below pr 1.0 a task's subsample, its layout and the layout's
+    # selections are freed by reference counting once the task ends
+    layouts = []
+    grid = evaluation.grid_series
+    monkeypatch.setattr(evaluation, "grid_series",
+                        lambda series, *args: layouts.append(weakref.ref(series.layout))
+                        or grid(series, *args))
+    cfg = _small_config(pr_list=(0.5,), n_simulations=2)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_campaign(cfg, jobs=1)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(layouts) == 2 and layouts[0]() is None and layouts[1]() is None
 
 
 def test_campaign_paired_truth_draws_across_cells():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cloudmotion import gridding
 from cloudmotion.fleet import SensorSnapshot, ShadowMask, subsample_by_penetration
 from cloudmotion.fractal_field import auto_pixel_size, make_clearsky_field, required_field_side
 from cloudmotion.geometry import Rect
@@ -428,6 +429,27 @@ def test_grid_selected_needs_the_selections_layout():
     selection = select_neighbours(_series([_snap(three)]).layout, spec, 3)
     with pytest.raises(ValueError, match="layout"):
         grid_selected(selection, _series([_snap(three)]))
+
+
+def test_selection_kept_on_the_layout_per_spec_and_k(monkeypatch):
+    # equal (spec, k) keys share one selection; another dmin or k, or
+    # another layout of the same rows, selects anew
+    calls = []
+    select = gridding._select
+    monkeypatch.setattr(gridding, "_select", lambda *args: calls.append(args) or select(*args))
+    sensors = [(1.0, 1.0, 0.5), (12.0, 2.0, 0.6), (3.0, 33.0, 0.7), (40.0, 41.0, 0.8)]
+    series = _series([_snap(sensors)])
+    spec = GridSpec(Rect(0.0, 0.0, 50.0, 50.0), 10.0)
+    first = select_neighbours(series.layout, spec, 3)
+    assert len(calls) == 1
+    equal = select_neighbours(series.layout, GridSpec(Rect(0.0, 0.0, 50.0, 50.0), 10.0), 3)
+    assert equal.rows is first.rows and grid_series(series, spec, 3).valid.all()
+    assert len(calls) == 1
+    for other_spec, k in ((GridSpec(spec.bounds, 5.0), 3), (spec, 2)):
+        assert select_neighbours(series.layout, other_spec, k).rows is not first.rows
+    assert len(calls) == 3 and len(series.layout.neighbour_rows) == 3
+    assert select_neighbours(_series([_snap(sensors)]).layout, spec, 3).rows is not first.rows
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("period", [1, 2])

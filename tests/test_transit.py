@@ -21,6 +21,7 @@ from cloudmotion.fleet import (
 )
 from cloudmotion.fractal_field import _LEVEL_KSTAR, ClearSkyField, kstar_to_levels
 from cloudmotion.geometry import Rect
+from cloudmotion.gridding import GridSpec, select_neighbours
 from cloudmotion.transit import (
     FieldSizingError,
     MeasurementSeries,
@@ -438,7 +439,8 @@ def _is_valid_event_reference(series, bounds, min_variability_s):
             abs(k - prev[vid]) > 1e-6 if vid in prev else abs(k - mode) > 1e-6
             for vid, k in rows
         )
-        prev = dict(zip(snap.vehicle_ids.tolist(), snap.sensors[:, 2].tolist()))
+        # of an id repeated in one instant the first row counts, as in previous_rows
+        prev = dict(reversed(list(zip(snap.vehicle_ids.tolist(), snap.sensors[:, 2].tolist()))))
     return (qualifying - 1) * series.sampling_period_s > min_variability_s
 
 
@@ -461,6 +463,19 @@ def test_validity_matches_per_sensor_reference(seed, n_snaps):
     series = series_from_snapshots(snaps, MotionTruth(1.0, 0.0))
     for m in (0, 3, 10, 20):
         assert is_valid_event(series, BOUNDS, m) == _is_valid_event_reference(series, BOUNDS, m)
+
+
+def test_validity_with_an_id_repeated_in_one_instant():
+    # two id-less central rows per instant share the id "": the first row,
+    # constant at 0.5, is the earlier row of both, so the second row, which
+    # flips between 0.5 and 1.2, qualifies only where it reads 1.2
+    snaps = [_snapshot(t, [(300.0, 450.0, 0.5), (310.0, 460.0, (0.5, 1.2)[t % 2])], ["", ""])
+             for t in range(6)]
+    series = series_from_snapshots(snaps, MotionTruth(1.0, 0.0))
+    assert series.layout.previous_rows.tolist() == [-1, -1, 0, 0, 2, 2, 4, 4, 6, 6, 8, 8]
+    verdicts = [is_valid_event(series, BOUNDS, m) for m in range(5)]
+    assert verdicts == [_is_valid_event_reference(series, BOUNDS, m) for m in range(5)]
+    assert verdicts == [True, True, False, False, False]
 
 
 # ------------------------------------------------------- sampling layouts
@@ -599,20 +614,31 @@ def test_validity_memo_on_ids_out_of_code_order():
 
 
 def test_layout_memos_stay_out_of_repr_and_pickles():
-    memos = ("row_text", "_codes", "_previous")
+    memos = ("row_text", "neighbour_rows", "_codes", "_previous")
     fields = dataclasses.fields(SamplingLayout)
-    assert tuple(f.name for f in fields[-3:]) == memos
-    assert not any(f.repr for f in fields[-3:])
+    assert tuple(f.name for f in fields[-4:]) == memos
+    assert not any(f.repr for f in fields[-4:])
     field = _flat_field()
     ds = _static_fleet([(300.0, 450.0), (250.0, 400.0)], 10)
     series = run_transit(field, ds, None, MotionTruth(3.0, 10.0), TransitConfig(10, 1))
     is_valid_event(series, BOUNDS, 0)
+    select_neighbours(series.layout, GridSpec(BOUNDS, 100.0), 2)
     assert series.layout._previous is not None and "_previous" not in repr(series.layout)
+    assert series.layout.neighbour_rows and "neighbour_rows" not in repr(series.layout)
     # a pickled dataset starts without a layout, so without its memos
     copy = pickle.loads(pickle.dumps(ds))
     assert copy._layout is None
     fresh = run_transit(field, copy, None, MotionTruth(3.0, 10.0), TransitConfig(10, 1)).layout
-    assert fresh is not series.layout and fresh._previous is None
+    assert fresh is not series.layout and fresh._previous is None and fresh.neighbour_rows == {}
+
+
+def test_layout_columns_are_read_only():
+    # the layout's memos hold only while its rows cannot change
+    ds = _static_fleet([(300.0, 450.0), (250.0, 400.0)], 10)
+    layout = run_transit(_flat_field(), ds, None, MotionTruth(3.0, 10.0), TransitConfig(10, 1)).layout
+    for column in (layout.t, layout.x, layout.y, layout.vehicle_ids):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
 
 
 def test_layout_not_kept_on_mask_coverage_error():
