@@ -7,7 +7,7 @@ keep every simulation because a single outlier can dominate the RMSE.
 
 A task is one penetration rate over a block of consecutive truth draws.
 The draws of a pr share one sampling layout and differ in k* only, and
-the layout keeps its neighbour selection per dmin for every later draw.
+grid_series keeps each dmin's neighbour rows on it for every later draw.
 Gridding writes the float32 blocks that the search reads in place.
 """
 from __future__ import annotations

@@ -71,8 +71,8 @@ class SamplingLayout:
     cuts[i]:cuts[i + 1] belong to the i-th sampling instant.  A
     transit.MeasurementSeries adds one k* column parallel to the rows.
     row_text and neighbour_rows are the memos of transit.export_series and
-    gridding.select_neighbours; vehicle_codes and previous_rows are built
-    on first use and kept, so every series of the layout shares them.
+    gridding.grid_series; previous_rows is built on first use and kept, so
+    every series of the layout shares them.
     """
 
     duration_s: int
@@ -85,26 +85,19 @@ class SamplingLayout:
     cuts: list
     row_text: Optional[list] = field(default=None, repr=False)
     neighbour_rows: dict = field(default_factory=dict, repr=False)
-    _codes: Optional[np.ndarray] = field(default=None, repr=False)
     _previous: Optional[np.ndarray] = field(default=None, repr=False)
-
-    @property
-    def vehicle_codes(self) -> np.ndarray:
-        """Integer code of each row's vehicle, equal codes for equal ids."""
-        if self._codes is None:
-            self._codes = np.unique(self.vehicle_ids, return_inverse=True)[1]
-        return self._codes
 
     @property
     def previous_rows(self) -> np.ndarray:
         """Each row's same-vehicle row one instant earlier, or -1 where there is none.
 
-        Rows are matched by (instant, vehicle code) key; the argsort is
-        stable because a hand-built layout need not be sorted by id, and of
-        repeated ids in one instant the first row is taken.
+        Rows are matched by (instant, vehicle code) key, a code being an
+        id's rank among the layout's ids; the argsort is stable because a
+        hand-built layout need not be sorted by id, and of repeated ids in
+        one instant the first row is taken.
         """
         if self._previous is None:
-            codes = self.vehicle_codes
+            codes = np.unique(self.vehicle_ids, return_inverse=True)[1]
             snap = np.repeat(np.arange(len(self.cuts) - 1), np.diff(self.cuts))
             n_codes = int(codes.max(initial=0)) + 1
             key = snap * n_codes + codes

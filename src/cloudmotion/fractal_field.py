@@ -13,11 +13,14 @@ _BLOCK_ROWS rows, in float only inside the transition band.  Measured with
 numpy 2.4: at 1024 px the tracemalloc peak is 1.6x a float32 raster's
 bytes (2.5x with every pixel in float, 10.8x with full-raster steps); a
 4096 px field peaks at 123.5 MB RSS in a fresh process (122 MB with a new
-level raster; 138, 224 and 727 MB before).
+level raster; 138, 224 and 727 MB before).  The scratch, and so the levels,
+take an anonymous mapping of their own: in the brk heap, three 4096 px
+builds in one process peaked at about 131 or 145 MB by checkout path.
 """
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +117,7 @@ def _diamond_square(side_px: int, fractal_dimension: float, seed: int) -> tuple:
     # (numpy copies inputs that may overlap a view of the same grid as
     # output), stored, and the buffer then takes the displacements.  One
     # float more makes its n^2 + 2n + 4 bytes hold (n + 1)^2 uint8 levels.
-    buf = np.empty((n // 2) * (n // 2 + 1) + 1, dtype=np.float32)
+    buf = np.frombuffer(mmap.mmap(-1, 4 * ((n // 2) * (n // 2 + 1) + 1)), dtype=np.float32)
 
     def set_displaced(cells, mean):
         cells[...] = mean
@@ -298,7 +301,6 @@ def make_clearsky_field(
         return out
 
     # the levels take the recursion's scratch, not a new raster allocated as
-    # the scratch is freed: with a new one, the peak RSS of three 4096 px
-    # builds in one process read about 129 or 145 MB, by heap layout
+    # the scratch is freed, so they share its mapping outside the heap
     levels = scratch.view(np.uint8)[: side_px * side_px].reshape(side_px, side_px)
     return ClearSkyField(levels=_map_rows(surf, band_rows, levels), pixel_size_m=pixel_size_m)

@@ -22,14 +22,12 @@ and rounding is monotone, so they hold in floating point; limit gets a
 1e-9 relative slack that can only admit more candidates.
 
 Which rows are a grid point's k nearest depends on the sensor positions
-only, so the selection is kept apart from its application to a k* column.
-select_neighbours selects for every instant of a SamplingLayout, once
-per (GridSpec, k) as the layout keeps the rows, and grid_selected grids
-any series of that layout from the selection; grid_series is the two for
-one series.  The application recomputes d2 from the rows' x and y and
-weighs them in idw_interpolate's order, so it gives idw_interpolate's
-values, stored as float32: the one precision of a GridSeries, and the one
-both searches read.
+only, so grid_series selects once per (GridSpec, k) for every instant of
+a SamplingLayout, keeps the rows in the layout's neighbour_rows, and
+applies them to each series' k* column.  The application recomputes d2
+from the rows' x and y and weighs them in idw_interpolate's order, so it
+gives idw_interpolate's values, stored as float32: the one precision of a
+GridSeries, and the one both searches read.
 """
 from __future__ import annotations
 
@@ -43,7 +41,7 @@ from .fleet import SamplingLayout, SensorSnapshot
 from .geometry import Rect
 from .transit import MeasurementSeries
 
-# Grid points per tile side in select_neighbours; 6 timed fastest of 4, 6, 8, 10.
+# Grid points per tile side in _neighbour_rows; 6 timed fastest of 4, 6, 8, 10.
 _TILE = 6
 
 
@@ -159,34 +157,20 @@ def idw_interpolate(snapshot: SensorSnapshot, spec: GridSpec, k_neighbors: int =
     return GridSnapshot(t=snapshot.t, values=values.reshape(ny, nx), valid=True)
 
 
-@dataclass(frozen=True, eq=False)
-class NeighbourSelection:
-    """The k nearest sensors of every grid point, per sampling instant of a layout.
+def _neighbour_rows(layout: SamplingLayout, spec: GridSpec, k: int) -> tuple:
+    """The k nearest rows of every grid point, per sampling instant of layout, by tiles.
 
-    rows[i] is None where instant i has fewer than k sensors.  Otherwise it
+    Item i is None where instant i has fewer than k sensors.  Otherwise it
     is a (k, ny * nx) array, nearest first, of rows local to the instant
     (0 is the layout row cuts[i]) in the smallest unsigned dtype that holds
-    them.  Which rows these are does not depend on k*, so every series of
-    the layout grids from one selection; no weight is stored.
+    them; no weight is stored.  The first call per (spec, k) selects, and
+    layout.neighbour_rows keeps the tuple for every later series.
     """
-
-    layout: SamplingLayout
-    spec: GridSpec
-    rows: tuple
-
-
-def select_neighbours(layout: SamplingLayout, spec: GridSpec, k_neighbors: int = 3) -> NeighbourSelection:
-    """The k nearest rows of every grid point, for every instant of layout, by tiles.
-
-    The first call per (spec, k) selects; layout.neighbour_rows keeps the
-    rows tuple, not the NeighbourSelection, which would point back at the
-    layout in a cycle that only the cyclic garbage collector frees.
-    """
-    if k_neighbors < 1:
+    if k < 1:
         raise ValueError("k_neighbors must be >= 1")
-    key = (spec, k_neighbors)
+    key = (spec, k)
     if key in layout.neighbour_rows:
-        return NeighbourSelection(layout, spec, layout.neighbour_rows[key])
+        return layout.neighbour_rows[key]
     ny, nx = spec.ny, spec.nx
     nty, ntx = -(-ny // _TILE), -(-nx // _TILE)
     # The lattice padded past the bounds to whole tiles, by the same
@@ -200,26 +184,10 @@ def select_neighbours(layout: SamplingLayout, spec: GridSpec, k_neighbors: int =
     point_tile = np.tile(np.arange(nty * ntx), _TILE * _TILE)
     tiles = (ys, xs, tile_y * _TILE + offsets, tile_x * _TILE + offsets, point_tile, (ny, nx))
     x, y, cuts = layout.x, layout.y, layout.cuts
-    rows = tuple(_select(x[a:b], y[a:b], tiles, k_neighbors) if b - a >= k_neighbors else None
+    rows = tuple(_select(x[a:b], y[a:b], tiles, k) if b - a >= k else None
                  for a, b in zip(cuts, cuts[1:]))
     layout.neighbour_rows[key] = rows
-    return NeighbourSelection(layout, spec, rows)
-
-
-def grid_selected(selection: NeighbourSelection, series: MeasurementSeries) -> GridSeries:
-    """The GridSeries of a series of selection.layout: _idw_selected's values as float32."""
-    if series.layout is not selection.layout:
-        raise ValueError("the series does not share the selection's sampling layout")
-    layout, spec = series.layout, selection.spec
-    ny, nx = spec.ny, spec.nx
-    xs, ys = spec.axes()
-    row_of, col_of = np.divmod(np.arange(ny * nx), nx)
-    gy, gx = ys[row_of], xs[col_of]  # each grid point's coordinates
-    block = np.full((len(layout.instants), ny, nx), np.nan, dtype=np.float32)
-    valid = np.array([rows is not None for rows in selection.rows], dtype=bool)
-    for i in np.flatnonzero(valid):
-        block[i] = _idw_selected(series, i, selection.rows[i], gx, gy).reshape(ny, nx)
-    return GridSeries(layout.instants, block, valid)
+    return rows
 
 
 def _idw_selected(series: MeasurementSeries, i: int, rows, gx, gy) -> np.ndarray:
@@ -252,14 +220,23 @@ def _idw_selected(series: MeasurementSeries, i: int, rows, gx, gy) -> np.ndarray
 def grid_series(series: MeasurementSeries, spec: GridSpec, k_neighbors: int = 3) -> GridSeries:
     """The grids of every sampling instant, invalid ones kept in place as NaN.
 
-    The selection of the series' layout, applied to its k* column: what
-    idw_interpolate gives per snapshot, rounded to float32.
+    The neighbour rows of the series' layout, applied to its k* column:
+    what idw_interpolate gives per snapshot, rounded to float32.
     """
-    return grid_selected(select_neighbours(series.layout, spec, k_neighbors), series)
+    selection = _neighbour_rows(series.layout, spec, k_neighbors)
+    ny, nx = spec.ny, spec.nx
+    xs, ys = spec.axes()
+    row_of, col_of = np.divmod(np.arange(ny * nx), nx)
+    gy, gx = ys[row_of], xs[col_of]  # each grid point's coordinates
+    block = np.full((len(series.layout.instants), ny, nx), np.nan, dtype=np.float32)
+    valid = np.array([rows is not None for rows in selection], dtype=bool)
+    for i in np.flatnonzero(valid):
+        block[i] = _idw_selected(series, i, selection[i], gx, gy).reshape(ny, nx)
+    return GridSeries(series.layout.instants, block, valid)
 
 
 def _select(x: np.ndarray, y: np.ndarray, tiles: tuple, k: int) -> np.ndarray:
-    """One instant's (k, grid points) rows of NeighbourSelection, by tiles."""
+    """One instant's (k, grid points) rows of _neighbour_rows, by tiles."""
     ys, xs, tile_row, tile_col, point_tile, (ny, nx) = tiles
     n_tiles = tile_row.shape[1]
     order = np.lexsort((y, x))  # canonical, as idw_interpolate

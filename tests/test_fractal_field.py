@@ -1,5 +1,6 @@
 import hashlib
 import math
+import mmap
 import tracemalloc
 from dataclasses import dataclass
 
@@ -392,6 +393,15 @@ def test_pipeline_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 3 * side * side * 4
+
+
+def test_levels_live_in_their_own_mapping():
+    # the recursion's scratch, which ends up holding the levels, is an
+    # anonymous mapping of its own, so neither lands in the brk heap
+    base = make_clearsky_field(64, 1.5, seed=7).levels
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(getattr(base, "obj", base), mmap.mmap)
 
 
 # ------------------------------------------------------------ median

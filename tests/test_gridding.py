@@ -15,10 +15,9 @@ from cloudmotion.gridding import (
     GridSnapshot,
     GridSpec,
     _idw_selected,
-    grid_selected,
+    _neighbour_rows,
     grid_series,
     idw_interpolate,
-    select_neighbours,
 )
 from cloudmotion.synth import random_walk_fleet
 from cloudmotion.transit import MeasurementSeries, MotionTruth, TransitConfig, draw_truth, run_transit
@@ -62,12 +61,11 @@ def test_grid_spec_rejects_dmin_not_positive_finite(dmin):
         GridSpec(Rect(0.0, 0.0, 600.0, 900.0), dmin)
 
 
-@pytest.mark.parametrize("entry", ["idw_interpolate", "select_neighbours", "grid_series"])
+@pytest.mark.parametrize("entry", ["idw_interpolate", "grid_series"])
 def test_gridding_entry_points_reject_k_below_one(entry):
     spec = GridSpec(Rect(0.0, 0.0, 50.0, 50.0), 10.0)
     series = _series([_snap([(1.0, 1.0, 0.5), (2.0, 2.0, 0.6)])])
     call = {"idw_interpolate": lambda: idw_interpolate(series.snapshots[0], spec, 0),
-            "select_neighbours": lambda: select_neighbours(series.layout, spec, 0),
             "grid_series": lambda: grid_series(series, spec, 0)}[entry]
     with pytest.raises(ValueError, match="k_neighbors must be >= 1"):
         call()
@@ -276,8 +274,8 @@ def test_grid_series_all_empty_all_invalid():
 
 # ------------------------------------------- grid_series against the reference
 
-def _assert_block_matches_reference(grids, selection, series, spec, k):
-    """grids, gridded from selection, against idw_interpolate per snapshot:
+def _assert_block_matches_reference(grids, rows, series, spec, k):
+    """grids, gridded from the neighbour rows, against idw_interpolate per snapshot:
     _idw_selected gives its float64 values bit for bit, and the float32
     block holds them rounded, NaN rows included."""
     assert grids.values.dtype == np.float32
@@ -286,17 +284,17 @@ def _assert_block_matches_reference(grids, selection, series, spec, k):
     for i, (grid, snap) in enumerate(zip(grids, series.snapshots)):
         ref = idw_interpolate(snap, spec, k)
         assert (grid.t, grid.valid) == (ref.t, ref.valid)
-        assert (selection.rows[i] is not None) == ref.valid
+        assert (rows[i] is not None) == ref.valid
         if ref.valid:
-            values = _idw_selected(series, i, selection.rows[i], gx, gy)
+            values = _idw_selected(series, i, rows[i], gx, gy)
             assert values.dtype == np.float64
             assert np.array_equal(values.reshape(spec.ny, spec.nx), ref.values, equal_nan=True)
         assert np.array_equal(grid.values, ref.values.astype(np.float32), equal_nan=True)
 
 
 def _assert_matches_reference(series, spec, k):
-    selection = select_neighbours(series.layout, spec, k)
-    _assert_block_matches_reference(grid_series(series, spec, k), selection, series, spec, k)
+    grids = grid_series(series, spec, k)
+    _assert_block_matches_reference(grids, _neighbour_rows(series.layout, spec, k), series, spec, k)
 
 
 @st.composite
@@ -355,15 +353,16 @@ def test_grid_series_more_than_255_candidates():
 # ---------------------------------- one neighbour selection, many k* columns
 
 def _assert_selection_matches_reference(series, spec, k, columns):
-    """Grids of each k* column from one selection of series.layout equal
-    grid_series and, as _assert_block_matches_reference checks, idw_interpolate."""
-    selection = select_neighbours(series.layout, spec, k)
+    """Grids of each k* column of series.layout equal idw_interpolate, as
+    _assert_block_matches_reference checks, and come from one selection
+    that the layout keeps."""
+    rows = _neighbour_rows(series.layout, spec, k)
     for kstar in columns:
         other = MeasurementSeries(series.layout, np.asarray(kstar, dtype=np.float64), series.truth)
-        grids = grid_selected(selection, other)
-        assert np.array_equal(grids.values, grid_series(other, spec, k).values, equal_nan=True)
-        _assert_block_matches_reference(grids, selection, other, spec, k)
-    return selection
+        grids = grid_series(other, spec, k)
+        assert series.layout.neighbour_rows[(spec, k)] is rows
+        _assert_block_matches_reference(grids, rows, other, spec, k)
+    return rows
 
 
 @st.composite
@@ -395,10 +394,10 @@ def test_selection_more_than_256_sensors_in_uint16_rows():
     series = _series([_snap(crowd, t=0), _snap(few, t=1), _snap(few[:2], t=2)])
     spec = GridSpec(Rect(0.0, 0.0, 60.0, 60.0), 5.0)
     columns = rng.uniform(0.09, 1.2, (3, len(series.kstar)))
-    selection = _assert_selection_matches_reference(series, spec, 3, columns)
-    assert [None if r is None else r.dtype for r in selection.rows] == [np.uint16, np.uint8, None]
-    assert selection.rows[0].shape == (3, spec.ny * spec.nx)
-    assert selection.rows[0].max() > 255
+    rows = _assert_selection_matches_reference(series, spec, 3, columns)
+    assert [None if r is None else r.dtype for r in rows] == [np.uint16, np.uint8, None]
+    assert rows[0].shape == (3, spec.ny * spec.nx)
+    assert rows[0].max() > 255
 
 
 def test_selection_of_masked_transits_at_nested_penetration_rates():
@@ -423,14 +422,6 @@ def test_selection_of_masked_transits_at_nested_penetration_rates():
     assert {0, 1, 2} <= counts and max(counts) >= 3
 
 
-def test_grid_selected_needs_the_selections_layout():
-    spec = GridSpec(Rect(0.0, 0.0, 50.0, 50.0), 10.0)
-    three = [(1.0, 1.0, 0.5), (2.0, 2.0, 0.6), (3.0, 3.0, 0.7)]
-    selection = select_neighbours(_series([_snap(three)]).layout, spec, 3)
-    with pytest.raises(ValueError, match="layout"):
-        grid_selected(selection, _series([_snap(three)]))
-
-
 def test_selection_kept_on_the_layout_per_spec_and_k(monkeypatch):
     # equal (spec, k) keys share one selection; another dmin or k, or
     # another layout of the same rows, selects anew
@@ -440,15 +431,15 @@ def test_selection_kept_on_the_layout_per_spec_and_k(monkeypatch):
     sensors = [(1.0, 1.0, 0.5), (12.0, 2.0, 0.6), (3.0, 33.0, 0.7), (40.0, 41.0, 0.8)]
     series = _series([_snap(sensors)])
     spec = GridSpec(Rect(0.0, 0.0, 50.0, 50.0), 10.0)
-    first = select_neighbours(series.layout, spec, 3)
+    first = _neighbour_rows(series.layout, spec, 3)
     assert len(calls) == 1
-    equal = select_neighbours(series.layout, GridSpec(Rect(0.0, 0.0, 50.0, 50.0), 10.0), 3)
-    assert equal.rows is first.rows and grid_series(series, spec, 3).valid.all()
+    equal = _neighbour_rows(series.layout, GridSpec(Rect(0.0, 0.0, 50.0, 50.0), 10.0), 3)
+    assert equal is first and grid_series(series, spec, 3).valid.all()
     assert len(calls) == 1
     for other_spec, k in ((GridSpec(spec.bounds, 5.0), 3), (spec, 2)):
-        assert select_neighbours(series.layout, other_spec, k).rows is not first.rows
+        assert _neighbour_rows(series.layout, other_spec, k) is not first
     assert len(calls) == 3 and len(series.layout.neighbour_rows) == 3
-    assert select_neighbours(_series([_snap(sensors)]).layout, spec, 3).rows is not first.rows
+    assert _neighbour_rows(_series([_snap(sensors)]).layout, spec, 3) is not first
     assert len(calls) == 4
 
 
@@ -507,14 +498,15 @@ def test_grid_series_peak_memory_below_reference(desk_series):
     assert tiled < reference
 
 
-def test_grid_selected_holds_no_block_beside_the_float32_one(desk_series):
+def test_grid_series_holds_no_block_beside_the_float32_one(desk_series):
     # each instant is computed in float64 and stored rounded into the one
-    # float32 block: no float64 block of the series is ever held
+    # float32 block: no float64 block of the series is ever held (the
+    # layout's neighbour rows are selected before tracing starts)
     series, spec = desk_series
-    selection = select_neighbours(series[1.0].layout, spec, 3)
+    _neighbour_rows(series[1.0].layout, spec, 3)
     tracemalloc.start()
     try:
-        grids = grid_selected(selection, series[1.0])
+        grids = grid_series(series[1.0], spec, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -21,7 +21,7 @@ from cloudmotion.fleet import (
 )
 from cloudmotion.fractal_field import _LEVEL_KSTAR, ClearSkyField, kstar_to_levels
 from cloudmotion.geometry import Rect
-from cloudmotion.gridding import GridSpec, select_neighbours
+from cloudmotion.gridding import GridSpec, grid_series
 from cloudmotion.transit import (
     FieldSizingError,
     MeasurementSeries,
@@ -607,22 +607,23 @@ def test_validity_memo_on_ids_out_of_code_order():
         snaps.append(_snapshot(t, rows, ids))
     series = series_from_snapshots(snaps, MotionTruth(1.0, 0.0))
     layout = series.layout
+    codes = np.unique(layout.vehicle_ids, return_inverse=True)[1]
     for a, b in zip(layout.cuts[:2], layout.cuts[1:3]):
-        assert np.any(np.diff(layout.vehicle_codes[a:b]) < 0)
+        assert np.any(np.diff(codes[a:b]) < 0)
     for m in (0, 2, 5, 8):
         assert is_valid_event(series, BOUNDS, m) == _is_valid_event_reference(series, BOUNDS, m)
 
 
 def test_layout_memos_stay_out_of_repr_and_pickles():
-    memos = ("row_text", "neighbour_rows", "_codes", "_previous")
+    memos = ("row_text", "neighbour_rows", "_previous")
     fields = dataclasses.fields(SamplingLayout)
-    assert tuple(f.name for f in fields[-4:]) == memos
-    assert not any(f.repr for f in fields[-4:])
+    assert tuple(f.name for f in fields[-3:]) == memos
+    assert not any(f.repr for f in fields[-3:])
     field = _flat_field()
     ds = _static_fleet([(300.0, 450.0), (250.0, 400.0)], 10)
     series = run_transit(field, ds, None, MotionTruth(3.0, 10.0), TransitConfig(10, 1))
     is_valid_event(series, BOUNDS, 0)
-    select_neighbours(series.layout, GridSpec(BOUNDS, 100.0), 2)
+    grid_series(series, GridSpec(BOUNDS, 100.0), 2)
     assert series.layout._previous is not None and "_previous" not in repr(series.layout)
     assert series.layout.neighbour_rows and "neighbour_rows" not in repr(series.layout)
     # a pickled dataset starts without a layout, so without its memos
