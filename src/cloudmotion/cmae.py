@@ -125,7 +125,7 @@ def _search_space(series: GridSeries, timestep_s, dmin, v_cap) -> tuple:
     spacing = series.instants.step
     if timestep_s <= 0 or timestep_s % spacing != 0:
         raise ValueError(f"timestep {timestep_s} is not a positive multiple of {spacing}")
-    step = timestep_s // spacing
+    step = int(timestep_s) // spacing
     pairs = np.flatnonzero(series.valid[:-step] & series.valid[step:])
     if pairs.size == 0:
         raise InsufficientPairsError(f"no valid pair {timestep_s} s apart in {len(series)} grids")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 from pathlib import Path
 from typing import Optional
 
@@ -51,7 +52,12 @@ def direction_error(truth_deg: float, est_deg: float) -> float:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """One campaign: a scenario, a field, parameter sweeps, seeded draws."""
+    """One campaign: a scenario, a field, parameter sweeps, seeded draws.
+
+    Parsed once: each sweep keeps the first of equal values (dmin and pr as
+    float, timestep as int), and every draw runs on transit and grid_specs,
+    whose TransitConfig and GridSpecs check the period, duration and dmin.
+    """
 
     field: ClearSkyField
     dataset: TrajectoryDataset
@@ -66,6 +72,8 @@ class CampaignConfig:
     duration_s: int = 300
     k_neighbors: int = 3
     min_variability_s: int = 60
+    transit: TransitConfig = dataclass_field(init=False, repr=False)
+    grid_specs: tuple = dataclass_field(init=False, repr=False)  # a GridSpec per dmin
 
     def __post_init__(self) -> None:
         if self.n_simulations < 1:
@@ -77,25 +85,19 @@ class CampaignConfig:
         for name in ("dmin_list", "timestep_list", "pr_list"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must not be empty")
-        if self.sampling_period_s <= 0:
-            raise ValueError("sampling_period_s must be positive")
+        set_parsed = object.__setattr__  # frozen: parsed values replace the given ones
+        set_parsed(self, "transit", TransitConfig(self.duration_s, self.sampling_period_s))
         if any(ts <= 0 for ts in self.timestep_list):
             raise ValueError("timesteps must be positive")
-        if not all(0 < d < np.inf for d in self.dmin_list):
-            raise ValueError("dmin values must be positive and finite")
-        shorter = min(self.bounds.width, self.bounds.height)
-        limit = shorter / SPEED_MAX_MPS
+        limit = min(self.bounds.width, self.bounds.height) / SPEED_MAX_MPS
         for ts in self.timestep_list:
             if ts > limit:
-                raise ValueError(
-                    f"timestep {ts} s exceeds the shorter-side limit {limit:.1f} s"
-                )
+                raise ValueError(f"timestep {ts} s exceeds the shorter-side limit {limit:.1f} s")
             if ts % self.sampling_period_s != 0:
                 raise ValueError("timesteps must be multiples of the sampling period")
-        if self.duration_s <= 0:
-            raise ValueError("duration and sampling period must be positive")
-        if self.duration_s % self.sampling_period_s != 0:
-            raise ValueError("duration must be a multiple of the sampling period")
+        for name, kind in (("dmin_list", float), ("timestep_list", int), ("pr_list", float)):
+            set_parsed(self, name, tuple(dict.fromkeys(map(kind, getattr(self, name)))))
+        set_parsed(self, "grid_specs", tuple(GridSpec(self.bounds, d) for d in self.dmin_list))
         self.dataset.check_duration(self.duration_s)
         for pr in self.pr_list:
             if not 0.0 < pr <= 1.0:
@@ -148,11 +150,11 @@ def _init_worker(cfg: CampaignConfig) -> None:
 def _simulate_block(pr: float, draws: range) -> tuple:
     """One penetration rate over consecutive truth draws, in one task.
 
-    Returns a TransitOutcome per draw and the task's wall seconds.  The
-    task subsamples its own pr, so the subsample, its layout and the
-    neighbour selections that grid_series keeps on it for later draws live
-    as long as the task; at pr 1.0 the subsample is cfg.dataset, which
-    outlives it.
+    Returns a TransitOutcome per draw and the task's wall seconds.  Every
+    draw runs on cfg.transit and cfg.grid_specs.  The task subsamples its
+    own pr, so the subsample, its layout and the neighbour selections that
+    grid_series keeps on it for later draws live as long as the task; at
+    pr 1.0 the subsample is cfg.dataset, which outlives it.
     """
     start = time.perf_counter()
     cfg: CampaignConfig = _STATE["cfg"]
@@ -160,30 +162,24 @@ def _simulate_block(pr: float, draws: range) -> tuple:
     outcomes = []
     for sim_index in draws:
         truth = draw_truth(cfg.base_seed + sim_index)
-        tcfg = TransitConfig(
-            duration_s=cfg.duration_s,
-            sampling_period_s=cfg.sampling_period_s,
-            seed=cfg.base_seed + sim_index,
-        )
         t0 = time.perf_counter()
-        series = run_transit(cfg.field, ds, cfg.mask, truth, tcfg)
+        series = run_transit(cfg.field, ds, cfg.mask, truth, cfg.transit)
         t1 = time.perf_counter()
         valid_event = is_valid_event(series, cfg.bounds, cfg.min_variability_s)
         # stage seconds, then the counters that each search_cmv call adds to
         telemetry = {"transit_s": t1 - t0, "validity_s": time.perf_counter() - t1,
                      "gridding_s": 0.0, "search_s": 0.0, **dict.fromkeys(_STATS_KEYS, 0)}
         estimates = {}
-        for dmin in cfg.dmin_list:
-            spec = GridSpec(cfg.bounds, dmin)
+        for spec in cfg.grid_specs:
             t0 = time.perf_counter()
             grids = grid_series(series, spec, cfg.k_neighbors)
             t1 = time.perf_counter()
             for ts in cfg.timestep_list:
                 try:
-                    est = search_cmv(grids, ts, dmin, stats=telemetry)
+                    est = search_cmv(grids, ts, spec.dmin, stats=telemetry)
                 except InsufficientPairsError:
                     est = invalid_estimate()
-                estimates[(float(dmin), int(ts))] = est
+                estimates[(spec.dmin, ts)] = est
             del grids
             telemetry["gridding_s"] += t1 - t0
             telemetry["search_s"] += time.perf_counter() - t1
@@ -209,17 +205,18 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
     """Run all simulations; aggregate per-cell RMSE tables and per-pr telemetry.
 
     A task is one penetration rate over a block of consecutive truth draws;
-    each pr gets ceil(jobs / prs) blocks.  Aggregation is an ordered
-    reduction over simulation indices, so the result is independent of how
-    many worker processes, hence blocks, were used.  At jobs=1 the pr 1.0
-    neighbour selections (about 5 MB per dmin on the desk grid) stay on
-    cfg.dataset's layout, so the next campaign on it skips them.
+    each pr of cfg's deduplicated sweep gets ceil(jobs / prs) blocks, and
+    its parsed (dmin, timestep, pr) values key the cells.  Aggregation is
+    an ordered reduction over simulation indices, so the result is
+    independent of how many worker processes, hence blocks, were used.
+    At jobs=1 the pr 1.0 neighbour selections (about 5 MB per dmin on the
+    desk grid) stay on cfg.dataset's layout, so the next campaign on it
+    skips them.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    prs = list(dict.fromkeys(float(pr) for pr in cfg.pr_list))
-    blocks = _blocks(cfg.n_simulations, -(-jobs // len(prs)))
-    tasks = [(pr, draws) for pr in prs for draws in blocks]
+    blocks = _blocks(cfg.n_simulations, -(-jobs // len(cfg.pr_list)))
+    tasks = [(pr, draws) for pr in cfg.pr_list for draws in blocks]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(cfg,)) as pool:
             # each task goes to the next free worker: prs and truth draws
@@ -233,14 +230,14 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
             _STATE.clear()  # the caller's process must not keep the campaign alive
 
     # back in draw order: per pr, the outcome of every simulation index
-    outcomes = {pr: [None] * cfg.n_simulations for pr in prs}
+    outcomes = {pr: [None] * cfg.n_simulations for pr in cfg.pr_list}
     for (pr, draws), (block, _) in zip(tasks, done):
         outcomes[pr][draws.start:draws.stop] = block
     task_timings = tuple(
         {"pr": pr, "first_draw": draws.start, "draws": len(draws), "wall_s": wall}
         for (pr, draws), (_, wall) in zip(tasks, done)
     )
-    telemetry = {pr: {} for pr in prs}
+    telemetry = {pr: {} for pr in cfg.pr_list}
     for pr, per_sim in outcomes.items():
         for oc in per_sim:
             telemetry[pr] = {k: telemetry[pr].get(k, 0) + v for k, v in oc.telemetry.items()}
@@ -249,10 +246,9 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
     for dmin in cfg.dmin_list:
         for ts in cfg.timestep_list:
             for pr in cfg.pr_list:
-                key = (float(dmin), int(ts), float(pr))
                 speed_err, dir_err, scatter = [], [], []
-                for i, oc in enumerate(outcomes[float(pr)]):
-                    est = oc.estimates[(float(dmin), int(ts))]
+                for i, oc in enumerate(outcomes[pr]):
+                    est = oc.estimates[(dmin, ts)]
                     capped = bool(est.valid and est.speed >= V_CAP_MPS - dmin / ts)
                     scatter.append(
                         (i, oc.truth_speed, oc.truth_direction,
@@ -262,7 +258,7 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
                         speed_err.append(est.speed - oc.truth_speed)
                         dir_err.append(direction_error(oc.truth_direction, est.direction_deg))
                 n_valid = len(speed_err)
-                cells[key] = CellResult(
+                cells[(dmin, ts, pr)] = CellResult(
                     rmse_speed=rmse(speed_err) if n_valid else None,
                     rmse_direction=rmse(dir_err) if n_valid else None,
                     n_valid=n_valid,

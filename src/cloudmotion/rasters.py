@@ -33,8 +33,8 @@ def read_pgm(path) -> np.ndarray:
     while len(fields) < 4:
         while pos < len(data) and data[pos : pos + 1].isspace():
             pos += 1
-        if data[pos : pos + 1] == b"#":  # comment line
-            pos = data.index(b"\n", pos) + 1
+        if data[pos : pos + 1] == b"#":  # comment line; unterminated, it ends the header
+            pos = data.find(b"\n", pos) + 1 or len(data)
             continue
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
@@ -42,9 +42,11 @@ def read_pgm(path) -> np.ndarray:
         fields.append(data[start:pos])
     pos += 1  # single whitespace after maxval
     magic, w, h, maxval = fields
-    if magic != b"P5" or maxval != b"255":
-        raise ValueError(f"{path}: expected binary PGM with maxval 255")
+    if magic != b"P5" or maxval != b"255" or not (w.isdigit() and h.isdigit()):
+        raise ValueError(f"{path}: expected binary PGM with a numeric size and maxval 255")
     nx, ny = int(w), int(h)
+    if len(data) - pos < nx * ny:
+        raise ValueError(f"{path}: PGM raster holds {len(data) - pos} of its {nx * ny} bytes")
     raster = np.frombuffer(data, dtype=np.uint8, count=nx * ny, offset=pos)
     return raster.reshape(ny, nx).copy()
 

@@ -11,6 +11,12 @@ from cloudmotion.gridding import GridSeries
 from cloudmotion.rasters import read_pgm, sidecar_path, write_pgm
 from cloudmotion.transit import FieldSizingError, MeasurementSeries, default_field_anchor
 
+# PGM bytes that read_pgm must reject naming the file: a 3x2 raster cut to 2
+# bytes, a header comment that runs to the end of the file, a width of "ab"
+MALFORMED_PGMS = {"truncated-raster": b"P5\n3 2\n255\n\x00\x01",
+                  "unterminated-comment": b"P5\n# no end of line",
+                  "non-numeric-size": b"P5\nab 2\n255\n" + bytes(6)}
+
 
 def field_kstar(field):
     """float32 k* of every pixel of a ClearSkyField, as a new full-size array."""

@@ -7,8 +7,9 @@ import cloudmotion.cli as cli
 from cloudmotion.cli import ConfigError, main, parse_config
 from cloudmotion.fleet import ShadowMask
 from cloudmotion.geometry import Rect
+from cloudmotion.rasters import sidecar_path
 from cloudmotion.synth import random_walk_fleet, write_trajectories_csv
-from helpers import read_clearsky_pgm, write_shadow_mask
+from helpers import MALFORMED_PGMS, read_clearsky_pgm, write_shadow_mask
 
 BOUNDS = Rect(0.0, 0.0, 300.0, 300.0)
 
@@ -202,12 +203,14 @@ def test_campaign_zero_sims_exit_1(tmp_path, fleet_csv):
     [
         ("timestep_list = 10", "timestep_list = 0", "timesteps must be positive"),
         ("timestep_list = 10", "timestep_list = -10", "timesteps must be positive"),
-        ("sampling_period_s = 1", "sampling_period_s = 0", "sampling_period_s must be positive"),
-        ("sampling_period_s = 1", "sampling_period_s = -1", "sampling_period_s must be positive"),
-        ("dmin_list = 10", "dmin_list = 0", "dmin values must be positive and finite"),
-        ("dmin_list = 10", "dmin_list = 10,-5", "dmin values must be positive and finite"),
+        ("sampling_period_s = 1", "sampling_period_s = 0",
+         "duration and sampling period must be positive"),
+        ("sampling_period_s = 1", "sampling_period_s = -1",
+         "duration and sampling period must be positive"),
+        ("dmin_list = 10", "dmin_list = 0", "dmin must be positive and finite"),
+        ("dmin_list = 10", "dmin_list = 10,-5", "dmin must be positive and finite"),
         ("field_seed = 99", "field_seed = 99\nk_neighbors = 0", "k_neighbors must be >= 1"),
-        ("dmin_list = 10", "dmin_list = inf", "dmin values must be positive and finite"),
+        ("dmin_list = 10", "dmin_list = inf", "dmin must be positive and finite"),
         ("field_seed = 99", "field_seed = 99\nfield_pixel_size_m = nan",
          "pixel_size_m must be positive and finite"),
         ("field_seed = 99", "field_seed = 99\nfield_pixel_size_m = inf",
@@ -221,10 +224,12 @@ def test_campaign_zero_sims_exit_1(tmp_path, fleet_csv):
         ("duration_s = 60", "duration_s = 0", "duration and sampling period must be positive"),
         ("duration_s = 60", "duration_s = 90", "dataset covers 60 s but the transit needs 90 s"),
         ("base_seed = 2", "base_seed = -1", "base_seed must be >= 0, got -1"),
+        ("sampling_period_s = 1", "sampling_period_s = 7",
+         "duration_s must be divisible by sampling_period_s"),
     ],
     ids=["timestep-0", "timestep-neg", "period-0", "period-neg", "dmin-0", "dmin-neg", "k-0",
          "dmin-inf", "pixel-nan", "pixel-inf", "halfwidth-nan", "bounds-inf", "pr-0",
-         "pr-above-1", "pr-nan", "duration-0", "duration-past-fleet", "seed-neg"],
+         "pr-above-1", "pr-nan", "duration-0", "duration-past-fleet", "seed-neg", "period-7"],
 )
 def test_campaign_bad_parameters_exit_1(
     tmp_path, fleet_csv, capsys, monkeypatch, old, new, message
@@ -241,6 +246,22 @@ def test_campaign_bad_parameters_exit_1(
     assert main(["campaign", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("raw", MALFORMED_PGMS.values(), ids=MALFORMED_PGMS.keys())
+def test_campaign_malformed_mask_exit_1(tmp_path, fleet_csv, capsys, monkeypatch, raw):
+    def no_field(*args, **kwargs):
+        raise AssertionError("the field was built before the mask was read")
+
+    monkeypatch.setattr(cli, "make_clearsky_field", no_field)
+    mask = tmp_path / "mask.pgm"
+    mask.write_bytes(raw)
+    sidecar_path(mask).write_text("0 0 10\n")
+    cfg = _write_config(tmp_path, CAMPAIGN_CFG.format(traj=fleet_csv) + f"mask = {mask}\n")
+    out = tmp_path / "o"
+    assert main(["campaign", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {mask}: ")
+    assert not out.exists()
 
 
 def test_campaign_jobs_below_one_exit_1(tmp_path, fleet_csv, capsys, monkeypatch):

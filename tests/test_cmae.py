@@ -191,6 +191,14 @@ def test_accumulate_timestep_must_match_spacing():
                 search(grids, timestep, 10.0)
 
 
+def test_integral_float_timestep_searches_as_int():
+    grids = translation_grids(seed=9, ny=12, nx=12, dx=1, dy=-1, n_snaps=5, spacing_s=5)
+    whole, integral = accumulate_cmae(grids, 10, 10.0), accumulate_cmae(grids, 10.0, 10.0)
+    assert np.array_equal(integral.displacements, whole.displacements)
+    assert np.array_equal(integral.cmae, whole.cmae) and integral.pair_count == whole.pair_count
+    assert search_cmv(grids, 10.0, 10.0) == search_cmv(grids, 10, 10.0)
+
+
 # ------------------------------------------------------------ pruned search
 
 def _assert_pruned_matches_exhaustive(grids, timestep_s, dmin, v_cap):

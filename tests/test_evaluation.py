@@ -99,6 +99,7 @@ def test_campaign_validates_n_simulations():
         {"k_neighbors": 0},
         {"dmin_list": (10.0, np.inf)},
         {"dmin_list": (10.0, np.nan)},
+        {"timestep_list": (10.5,)},
     ],
 )
 def test_campaign_validates_parameters(override):
@@ -253,6 +254,36 @@ def test_subsample_layout_freed_with_its_task(monkeypatch):
         if enabled:
             gc.enable()
     assert len(layouts) == 2 and layouts[0]() is None and layouts[1]() is None
+
+
+def _counters(result):
+    """Per pr, the telemetry keys that are search counters, not seconds."""
+    return {pr: {k: v for k, v in tel.items() if not k.endswith("_s")}
+            for pr, tel in result.telemetry.items()}
+
+
+def test_campaign_sweeps_run_each_value_once():
+    # equal sweep values keep the first, as float, int and float, so a
+    # duplicated sweep grids and searches each draw once
+    dup = _small_config(dmin_list=(20.0, 20), timestep_list=(10, 10), pr_list=(1.0, 1))
+    sweeps = (dup.dmin_list, dup.timestep_list, dup.pr_list)
+    assert sweeps == ((20.0,), (10,), (1.0,))
+    assert [type(v) for sweep in sweeps for v in sweep] == [float, int, float]
+    assert [spec.dmin for spec in dup.grid_specs] == [20.0]
+    assert (dup.transit.duration_s, dup.transit.sampling_period_s) == (DURATION, 1)
+    plain = run_campaign(_small_config(dmin_list=(20.0,)))
+    result = run_campaign(dup)
+    assert result.cells == plain.cells
+    assert _counters(result) == _counters(plain)
+
+
+def test_campaign_integral_float_timestep_runs():
+    cfg = _small_config(timestep_list=(10.0,), n_simulations=1)
+    assert cfg.timestep_list == (10,)
+    result = run_campaign(cfg)
+    plain = run_campaign(_small_config(n_simulations=1))
+    assert result.cells == plain.cells
+    assert _counters(result) == _counters(plain)
 
 
 def test_campaign_paired_truth_draws_across_cells():

@@ -3,7 +3,7 @@ import pytest
 
 from cloudmotion.fractal_field import kstar_to_levels, levels_to_kstar, make_clearsky_field
 from cloudmotion.rasters import read_pgm, write_clearsky_pgm, write_pgm
-from helpers import field_kstar, read_clearsky_pgm
+from helpers import MALFORMED_PGMS, field_kstar, read_clearsky_pgm
 
 
 def test_pgm_round_trip(tmp_path):
@@ -32,6 +32,15 @@ def test_pgm_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"P2\n2 2\n255\n....")
     with pytest.raises(ValueError):
         read_pgm(path)
+
+
+@pytest.mark.parametrize("raw", MALFORMED_PGMS.values(), ids=MALFORMED_PGMS.keys())
+def test_pgm_malformed_error_names_file(tmp_path, raw):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as exc:
+        read_pgm(path)
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_clearsky_pgm_round_trip(tmp_path):
